@@ -15,7 +15,7 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dsgl_core::inference::WarmStart;
 use dsgl_core::ridge::fit_ridge;
-use dsgl_core::{inference, DsGlModel, Threading, VariableLayout};
+use dsgl_core::{inference, DsGlModel, RunCtx, Threading, VariableLayout};
 use dsgl_data::{covid, WindowConfig};
 use dsgl_graph::{generators, Louvain};
 use dsgl_ising::{
@@ -188,7 +188,10 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     for &t in &threads {
         group.bench_with_input(BenchmarkId::from_parameter(t), &t, |b, &t| {
             Threading::Fixed(t).install(|| {
-                b.iter(|| black_box(inference::infer_batch(&model, windows, &cfg, 42).unwrap()))
+                b.iter(|| {
+                    let mut ctx = RunCtx::default();
+                    black_box(inference::infer_batch(&model, windows, &cfg, 42, &mut ctx).unwrap())
+                })
             });
         });
     }
@@ -332,9 +335,16 @@ fn forecast_run(
     cfg: &AnnealConfig,
     warm: WarmStart,
 ) -> (EngineRun, Vec<Vec<f64>>) {
-    let _ = inference::infer_batch_warm(model, windows, cfg, 42, warm).unwrap();
+    let run = || {
+        let mut ctx = RunCtx {
+            warm,
+            ..RunCtx::default()
+        };
+        inference::infer_batch(model, windows, cfg, 42, &mut ctx).unwrap()
+    };
+    let _ = run();
     let t0 = Instant::now();
-    let results = inference::infer_batch_warm(model, windows, cfg, 42, warm).unwrap();
+    let results = run();
     let wall_ns = t0.elapsed().as_nanos() as f64;
     let n = results.len() as f64;
     let (mut steps, mut sparse_steps, mut frac) = (0.0, 0.0, 0.0);
@@ -436,9 +446,9 @@ fn lockstep_snapshot(model: &DsGlModel, windows: &[dsgl_data::Sample]) -> Lockst
     let run = |lockstep: bool| {
         dsgl_core::set_lockstep_enabled(lockstep);
         Threading::Sequential.install(|| {
-            let _ = inference::infer_batch(model, windows, &cfg, 42).unwrap();
+            let _ = inference::infer_batch(model, windows, &cfg, 42, &mut RunCtx::default()).unwrap();
             let t0 = Instant::now();
-            let out = inference::infer_batch(model, windows, &cfg, 42).unwrap();
+            let out = inference::infer_batch(model, windows, &cfg, 42, &mut RunCtx::default()).unwrap();
             (t0.elapsed().as_nanos() as f64, out)
         })
     };
@@ -451,7 +461,11 @@ fn lockstep_snapshot(model: &DsGlModel, windows: &[dsgl_data::Sample]) -> Lockst
     // Untimed instrumented pass proving the fused path actually engaged
     // on this workload instead of silently declining to the serial loop.
     let probe = dsgl_core::TelemetrySink::enabled();
-    let _ = inference::infer_batch_instrumented(model, windows, &cfg, 42, &probe).unwrap();
+    let mut ctx = RunCtx {
+        sink: &probe,
+        ..RunCtx::default()
+    };
+    let _ = inference::infer_batch(model, windows, &cfg, 42, &mut ctx).unwrap();
     let lockstep_windows = probe.snapshot().counter("anneal.lockstep_windows");
     dsgl_core::set_lockstep_enabled(true);
     LockstepComparison {

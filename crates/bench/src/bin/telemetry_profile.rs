@@ -19,9 +19,12 @@
 //! timer noise on seconds-scale runs).
 
 use dsgl_bench::pipeline::{self, Scale, H_MAGNITUDE, LAMBDA_GRID};
-use dsgl_core::guard::{infer_batch_guarded_traced, GuardedAnneal};
+use dsgl_core::guard::{infer_batch_guarded, GuardedAnneal};
+use dsgl_core::inference::batch_seeds;
 use dsgl_core::ridge::{fit_ridge_instrumented, fit_ridge_validated_instrumented};
-use dsgl_core::{DsGlModel, MetricsSnapshot, PatternKind, SpanCollector, TelemetrySink, TraceScope};
+use dsgl_core::{
+    DsGlModel, MetricsSnapshot, PatternKind, RunCtx, SpanCollector, TelemetrySink, TraceScope,
+};
 use dsgl_hw::MappedMachine;
 use dsgl_ising::AnnealConfig;
 use rand::rngs::StdRng;
@@ -88,8 +91,15 @@ fn run_pipeline(
 
     // Guarded forecast over the held-out windows.
     let guard = GuardedAnneal::new(AnnealConfig::default());
-    let results = infer_batch_guarded_traced(&model, &p.test, &guard, seed, sink, scope)
-        .expect("guarded batch");
+    let seeds = batch_seeds(seed, p.test.len());
+    let scopes = vec![scope.clone(); p.test.len()];
+    let mut ctx = RunCtx {
+        sink,
+        scopes: &scopes,
+        ..RunCtx::default()
+    };
+    let results =
+        infer_batch_guarded(&model, &p.test, &guard, &seeds, &mut ctx).expect("guarded batch");
     let mut sse = 0.0;
     let mut count = 0usize;
     for ((pred, _, _), sample) in results.iter().zip(&p.test) {

@@ -11,8 +11,8 @@
 //! degraded windows). The result is written as `BENCH_faults.json`.
 
 use crate::pipeline::{decompose_model, hw_config, prepare, train_dense, Prepared, Scale};
-use dsgl_core::guard::infer_dense_guarded_pooled;
-use dsgl_core::{DsGlModel, GuardedAnneal, PatternKind, TelemetrySink};
+use dsgl_core::guard::infer_dense_guarded;
+use dsgl_core::{DsGlModel, GuardedAnneal, PatternKind, RunCtx};
 use dsgl_hw::coanneal::MappedMachine;
 use dsgl_hw::{HwConfig, HwFaultModel};
 use dsgl_ising::fault::FaultModel;
@@ -150,13 +150,17 @@ fn dense_point(
     // so only the first pays the stage-buffer allocations (buffers carry
     // capacity, never values — RMSE bits are unchanged).
     let mut pool = None;
-    let sink = TelemetrySink::noop();
     for (i, sample) in p.test.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(seed ^ (0xFA01 + i as u64).wrapping_mul(0x9E37_79B9));
         let faults = make_faults(model, rate, &mut rng);
-        let (pred, _, health) =
-            infer_dense_guarded_pooled(model, sample, guard, &faults, &sink, &mut pool, &mut rng)
-                .expect("guarded faulted inference");
+        let mut ctx = RunCtx {
+            faults: &faults,
+            pool: pool.take(),
+            ..RunCtx::default()
+        };
+        let (pred, _, health) = infer_dense_guarded(model, sample, guard, &mut rng, &mut ctx)
+            .expect("guarded faulted inference");
+        pool = ctx.pool;
         assert!(
             pred.iter().all(|v| v.is_finite()),
             "guarded prediction must be finite"

@@ -29,7 +29,7 @@
 //! in by `tests/determinism.rs` and `tests/properties.rs`).
 
 use crate::error::CoreError;
-use crate::inference::window_seed;
+use crate::inference::{Finish, RunCtx};
 use crate::model::DsGlModel;
 use crate::telemetry::TelemetrySink;
 use dsgl_data::Sample;
@@ -393,471 +393,106 @@ fn cause_code(cause: FailureCause) -> f64 {
     }
 }
 
+impl Finish for GuardedAnneal {
+    type Extra = HealthReport;
+
+    fn config(&self) -> &AnnealConfig {
+        &self.anneal
+    }
+
+    fn run<R: Rng + ?Sized>(
+        &self,
+        dspu: &mut RealValuedDspu,
+        rng: &mut R,
+    ) -> (AnnealReport, HealthReport) {
+        GuardedAnneal::run(self, dspu, rng)
+    }
+
+    /// Accepts a lockstep result only when its diagnosis is clean,
+    /// accounting for it precisely as a clean first attempt of
+    /// [`GuardedAnneal::run`] would: same healthy [`HealthReport`], same
+    /// `anneal.*` / `guard.*` telemetry.
+    fn accept(&self, dspu: &mut RealValuedDspu, report: &AnnealReport) -> Option<HealthReport> {
+        if self.diagnose(dspu, report).is_some() {
+            return None;
+        }
+        dspu.record_anneal(report);
+        let health = HealthReport {
+            anneal_steps: report.steps,
+            anneal_sim_time_ns: report.sim_time_ns,
+            trace_id: dspu.tracing().trace_id(),
+            ..HealthReport::default()
+        };
+        record_guard_metrics(dspu.telemetry(), &health);
+        Some(health)
+    }
+}
+
 /// Guarded counterpart of [`crate::inference::infer_dense`]: clamp
-/// history, anneal under the guard, read the target block. The
-/// prediction is always finite; consult the [`HealthReport`] for how it
-/// was obtained.
+/// history, apply `ctx`, anneal under the guard, read the target block.
+/// The prediction is always finite; consult the [`HealthReport`] for
+/// how it was obtained. A healthy first attempt consumes `rng` exactly
+/// like the unguarded call, so fault-free results are bit-identical.
 ///
 /// # Errors
 ///
-/// Returns shape mismatches and invalid-parameter errors.
+/// Returns shape mismatches, invalid parameters, fault-model validation
+/// errors, and a [`CoreError::SampleShapeMismatch`] when `ctx` carries
+/// more than one trace scope.
 pub fn infer_dense_guarded<R: Rng + ?Sized>(
     model: &DsGlModel,
     sample: &Sample,
     guard: &GuardedAnneal,
     rng: &mut R,
+    ctx: &mut RunCtx<'_>,
 ) -> Result<(Vec<f64>, AnnealReport, HealthReport), CoreError> {
-    infer_dense_guarded_faulted(model, sample, guard, &FaultModel::none(), rng)
+    ctx.check_scopes(1)?;
+    crate::inference::solve_window(model, sample, guard, ctx, 0, None, rng)
 }
 
-/// [`infer_dense_guarded`] with persistent hardware defects injected
-/// into the machine before annealing — the software analogue of running
-/// inference on a chip with stuck nodes, dead couplers, and drifted
-/// conductances. A defect-free `faults` adds no RNG draws and changes
-/// nothing.
+/// Guarded counterpart of [`crate::inference::infer_batch`] with one
+/// seed per window — the serving-layer entry point behind `dsgl-serve`'s
+/// request coalescing.
 ///
-/// # Errors
+/// Window `i` anneals under the RNG `window_seed(seeds[i], 0)` with
+/// `ctx`'s faults and warm start applied, so it is a pure function of
+/// `(model, sample, guard, ctx.faults, ctx.warm, seeds[i])`: grouping
+/// requests into one call can never change an output bit relative to
+/// running them one at a time, under any [`crate::Threading`] policy.
+/// Master-seeded callers pass [`batch_seeds`](crate::inference::batch_seeds)`(master, n)`,
+/// which reproduces the unguarded batch under `master` bit for bit
+/// wherever the guard never fires. [`WarmStart::Chained`](crate::WarmStart::Chained)
+/// runs cold.
 ///
-/// Returns shape mismatches, invalid parameters, and fault-model
-/// validation errors.
-pub fn infer_dense_guarded_faulted<R: Rng + ?Sized>(
-    model: &DsGlModel,
-    sample: &Sample,
-    guard: &GuardedAnneal,
-    faults: &FaultModel,
-    rng: &mut R,
-) -> Result<(Vec<f64>, AnnealReport, HealthReport), CoreError> {
-    infer_dense_guarded_faulted_instrumented(
-        model,
-        sample,
-        guard,
-        faults,
-        &TelemetrySink::noop(),
-        rng,
-    )
-}
-
-/// [`infer_dense_guarded_faulted`] with a [`TelemetrySink`] attached to
-/// the per-window machine, so the run records the `anneal.*` and
-/// `guard.*` instrument families. Passing a noop sink is exactly the
-/// plain call; the sink never touches the RNG or the dynamics, so
-/// results are bit-identical either way.
-///
-/// # Errors
-///
-/// Returns shape mismatches, invalid parameters, and fault-model
-/// validation errors.
-pub fn infer_dense_guarded_faulted_instrumented<R: Rng + ?Sized>(
-    model: &DsGlModel,
-    sample: &Sample,
-    guard: &GuardedAnneal,
-    faults: &FaultModel,
-    sink: &TelemetrySink,
-    rng: &mut R,
-) -> Result<(Vec<f64>, AnnealReport, HealthReport), CoreError> {
-    infer_dense_guarded_pooled(model, sample, guard, faults, sink, &mut None, rng)
-}
-
-/// [`infer_dense_guarded_faulted_instrumented`] with a caller-owned
-/// scratch [`dsgl_ising::Workspace`] pool. The per-window machine adopts
-/// the pooled workspace before annealing and returns it afterwards, so a
-/// loop over windows pays the stage-buffer allocations once instead of
-/// per window. Buffers carry capacity, never values, so a pooled call is
-/// bit-identical to the plain one (`&mut None` *is* the plain call).
-///
-/// # Errors
-///
-/// Returns shape mismatches, invalid parameters, and fault-model
-/// validation errors.
-pub fn infer_dense_guarded_pooled<R: Rng + ?Sized>(
-    model: &DsGlModel,
-    sample: &Sample,
-    guard: &GuardedAnneal,
-    faults: &FaultModel,
-    sink: &TelemetrySink,
-    pool: &mut Option<dsgl_ising::Workspace>,
-    rng: &mut R,
-) -> Result<(Vec<f64>, AnnealReport, HealthReport), CoreError> {
-    infer_dense_guarded_supervised(model, sample, guard, faults, sink, pool, None, rng)
-}
-
-/// [`infer_dense_guarded_pooled`] with an optional supervisor
-/// [`CancelToken`](dsgl_ising::CancelToken) attached to the per-window
-/// machine: a supervisor thread that fires the token stops the anneal
-/// at its next integration step, and the returned [`HealthReport`]
-/// comes back `cancelled` (and `degraded`) with a sanitised state. A
-/// token that never fires is bit-invisible — `None` *is* the plain
-/// pooled call.
-///
-/// # Errors
-///
-/// See [`infer_dense_guarded_pooled`].
-#[allow(clippy::too_many_arguments)]
-pub fn infer_dense_guarded_supervised<R: Rng + ?Sized>(
-    model: &DsGlModel,
-    sample: &Sample,
-    guard: &GuardedAnneal,
-    faults: &FaultModel,
-    sink: &TelemetrySink,
-    pool: &mut Option<dsgl_ising::Workspace>,
-    cancel: Option<&dsgl_ising::CancelToken>,
-    rng: &mut R,
-) -> Result<(Vec<f64>, AnnealReport, HealthReport), CoreError> {
-    infer_dense_guarded_traced(
-        model,
-        sample,
-        guard,
-        faults,
-        sink,
-        pool,
-        cancel,
-        &crate::tracing::TraceScope::noop(),
-        rng,
-    )
-}
-
-/// [`infer_dense_guarded_supervised`] with a
-/// [`TraceScope`](crate::tracing::TraceScope) attached to the
-/// per-window machine: the run records its `anneal.*` phase span and
-/// any `guard.retry` spans into the scope's collector, and the returned
-/// [`HealthReport`] carries the scope's trace id. A noop scope *is* the
-/// plain supervised call — spans are recorded only after the dynamics
-/// finish, so traced results are bit-identical either way.
-///
-/// # Errors
-///
-/// See [`infer_dense_guarded_pooled`].
-#[allow(clippy::too_many_arguments)]
-pub fn infer_dense_guarded_traced<R: Rng + ?Sized>(
-    model: &DsGlModel,
-    sample: &Sample,
-    guard: &GuardedAnneal,
-    faults: &FaultModel,
-    sink: &TelemetrySink,
-    pool: &mut Option<dsgl_ising::Workspace>,
-    cancel: Option<&dsgl_ising::CancelToken>,
-    scope: &crate::tracing::TraceScope,
-    rng: &mut R,
-) -> Result<(Vec<f64>, AnnealReport, HealthReport), CoreError> {
-    infer_dense_guarded_warm_traced(
-        model,
-        sample,
-        guard,
-        faults,
-        sink,
-        pool,
-        cancel,
-        scope,
-        crate::inference::WarmStart::Cold,
-        rng,
-    )
-}
-
-/// [`infer_dense_guarded_traced`] with a [`WarmStart`] policy applied to
-/// the per-window machine.
-///
-/// Only [`WarmStart::Multigrid`] changes anything: the multigrid warm
-/// start runs *after* machine construction (telemetry, tracing, cancel
-/// token and workspace pool attached) and *before* fault injection and
-/// the guard — so the guard's retry ladder captures the warmed state as
-/// its restore point, and stuck-node faults override warm values exactly
-/// as they override cold ones. [`WarmStart::Cold`] *is* the plain traced
-/// call; [`WarmStart::Chained`] is per-batch chaining with no per-window
-/// meaning, so a single guarded window treats it as cold.
-///
-/// When the warm start applies, the window also records
-/// [`dsgl_ising::multigrid::instruments::FINE_STEPS_SAVED`] against the
-/// guard's annealing budget.
-///
-/// # Errors
-///
-/// See [`infer_dense_guarded_pooled`].
-#[allow(clippy::too_many_arguments)]
-pub fn infer_dense_guarded_warm_traced<R: Rng + ?Sized>(
-    model: &DsGlModel,
-    sample: &Sample,
-    guard: &GuardedAnneal,
-    faults: &FaultModel,
-    sink: &TelemetrySink,
-    pool: &mut Option<dsgl_ising::Workspace>,
-    cancel: Option<&dsgl_ising::CancelToken>,
-    scope: &crate::tracing::TraceScope,
-    warm: crate::inference::WarmStart,
-    rng: &mut R,
-) -> Result<(Vec<f64>, AnnealReport, HealthReport), CoreError> {
-    infer_dense_guarded_warm_hier(
-        model, sample, guard, faults, sink, pool, cancel, scope, warm, None, rng,
-    )
-}
-
-/// [`infer_dense_guarded_warm_traced`] with an optional pre-built
-/// multigrid hierarchy. The batch entry points build the Louvain
-/// hierarchy once — it depends only on the coupling topology and clamp
-/// mask, identical across a batch's windows — and pass it here;
-/// `warm_start_with` on a cached hierarchy is bit-identical to the
-/// one-shot `multigrid_warm_start`, and a hierarchy that does not match
-/// the machine falls back to a cold start exactly like the one-shot.
-#[allow(clippy::too_many_arguments)]
-fn infer_dense_guarded_warm_hier<R: Rng + ?Sized>(
-    model: &DsGlModel,
-    sample: &Sample,
-    guard: &GuardedAnneal,
-    faults: &FaultModel,
-    sink: &TelemetrySink,
-    pool: &mut Option<dsgl_ising::Workspace>,
-    cancel: Option<&dsgl_ising::CancelToken>,
-    scope: &crate::tracing::TraceScope,
-    warm: crate::inference::WarmStart,
-    hierarchy: Option<&dsgl_ising::MultigridHierarchy>,
-    rng: &mut R,
-) -> Result<(Vec<f64>, AnnealReport, HealthReport), CoreError> {
-    let mut dspu = crate::inference::machine_for_sample(model, sample, rng)?;
-    dspu.set_telemetry(sink.clone());
-    dspu.set_tracing(scope.clone());
-    if let Some(token) = cancel {
-        dspu.set_cancel(token.clone());
-    }
-    if let Some(ws) = pool.take() {
-        dspu.adopt_workspace(ws);
-    }
-    let warmed = match warm {
-        crate::inference::WarmStart::Multigrid { levels, coarse_tol } => {
-            let opts = dsgl_ising::MultigridOptions { levels, coarse_tol };
-            match hierarchy {
-                Some(h) => {
-                    dsgl_ising::multigrid::warm_start_with(&mut dspu, h, &opts, &guard.anneal)
-                        .is_some()
-                }
-                None => dsgl_ising::multigrid::multigrid_warm_start(&mut dspu, &opts, &guard.anneal)
-                    .is_some(),
-            }
-        }
-        _ => false,
-    };
-    dspu.inject_faults(faults, rng)?;
-    let (report, health) = guard.run(&mut dspu, rng);
-    if warmed {
-        crate::inference::record_fine_steps_saved(sink, &guard.anneal, &report);
-    }
-    let layout = model.layout();
-    let pred = dspu.state()[layout.target_range()].to_vec();
-    *pool = Some(dspu.take_workspace());
-    Ok((pred, report, health))
-}
-
-/// Guarded counterpart of [`crate::inference::infer_batch`]: one
-/// guarded machine per window, per-window RNG seeded from
-/// `(master_seed, index)` exactly like the unguarded batch, so windows
-/// whose guard never fires are bit-identical to `infer_batch` across
-/// every [`crate::Threading`] policy.
-///
-/// # Errors
-///
-/// Returns [`CoreError::EmptyTrainingSet`] for an empty batch, or the
-/// first per-window shape/parameter error in sample order.
-pub fn infer_batch_guarded(
-    model: &DsGlModel,
-    samples: &[Sample],
-    guard: &GuardedAnneal,
-    master_seed: u64,
-) -> Result<Vec<(Vec<f64>, AnnealReport, HealthReport)>, CoreError> {
-    infer_batch_guarded_instrumented(model, samples, guard, master_seed, &TelemetrySink::noop())
-}
-
-/// [`infer_batch_guarded`] with a [`TelemetrySink`] shared across every
-/// per-window machine. The registry behind the sink is thread-safe, so
-/// windows annealed in parallel aggregate into the same instruments;
-/// recording happens at window granularity (never inside the
-/// integration loop), keeping contention negligible.
-///
-/// # Errors
-///
-/// Returns [`CoreError::EmptyTrainingSet`] for an empty batch, or the
-/// first per-window shape/parameter error in sample order.
-pub fn infer_batch_guarded_instrumented(
-    model: &DsGlModel,
-    samples: &[Sample],
-    guard: &GuardedAnneal,
-    master_seed: u64,
-    sink: &TelemetrySink,
-) -> Result<Vec<(Vec<f64>, AnnealReport, HealthReport)>, CoreError> {
-    infer_batch_guarded_traced(
-        model,
-        samples,
-        guard,
-        master_seed,
-        sink,
-        &crate::tracing::TraceScope::noop(),
-    )
-}
-
-/// [`infer_batch_guarded_instrumented`] with one
-/// [`TraceScope`](crate::tracing::TraceScope) shared by every window's
-/// machine: each window records its `anneal.*` phase span (and any
-/// `guard.retry` spans) under the scope's trace and parent ids. The
-/// collector behind the scope is thread-safe; a noop scope *is* the
-/// plain instrumented call, bit for bit.
-///
-/// # Errors
-///
-/// Returns [`CoreError::EmptyTrainingSet`] for an empty batch, or the
-/// first per-window shape/parameter error in sample order.
-pub fn infer_batch_guarded_traced(
-    model: &DsGlModel,
-    samples: &[Sample],
-    guard: &GuardedAnneal,
-    master_seed: u64,
-    sink: &TelemetrySink,
-    scope: &crate::tracing::TraceScope,
-) -> Result<Vec<(Vec<f64>, AnnealReport, HealthReport)>, CoreError> {
-    infer_batch_guarded_warm_traced(
-        model,
-        samples,
-        guard,
-        master_seed,
-        crate::inference::WarmStart::Cold,
-        sink,
-        scope,
-    )
-}
-
-/// [`infer_batch_guarded_instrumented`] with a [`WarmStart`] policy
-/// applied per window (see [`infer_dense_guarded_warm_traced`] for the
-/// policy semantics — `Multigrid` warm-starts each window, `Cold` and
-/// `Chained` behave as the plain guarded batch).
-///
-/// # Errors
-///
-/// Returns [`CoreError::EmptyTrainingSet`] for an empty batch, or the
-/// first per-window shape/parameter error in sample order.
-pub fn infer_batch_guarded_warm_instrumented(
-    model: &DsGlModel,
-    samples: &[Sample],
-    guard: &GuardedAnneal,
-    master_seed: u64,
-    warm: crate::inference::WarmStart,
-    sink: &TelemetrySink,
-) -> Result<Vec<(Vec<f64>, AnnealReport, HealthReport)>, CoreError> {
-    infer_batch_guarded_warm_traced(
-        model,
-        samples,
-        guard,
-        master_seed,
-        warm,
-        sink,
-        &crate::tracing::TraceScope::noop(),
-    )
-}
-
-/// [`infer_batch_guarded_traced`] with a [`WarmStart`] policy per
-/// window. [`WarmStart::Cold`] *is* the plain traced batch.
-///
-/// # Errors
-///
-/// Returns [`CoreError::EmptyTrainingSet`] for an empty batch, or the
-/// first per-window shape/parameter error in sample order.
-pub fn infer_batch_guarded_warm_traced(
-    model: &DsGlModel,
-    samples: &[Sample],
-    guard: &GuardedAnneal,
-    master_seed: u64,
-    warm: crate::inference::WarmStart,
-    sink: &TelemetrySink,
-    scope: &crate::tracing::TraceScope,
-) -> Result<Vec<(Vec<f64>, AnnealReport, HealthReport)>, CoreError> {
-    if samples.is_empty() {
-        return Err(CoreError::EmptyTrainingSet);
-    }
-    let hierarchy = batch_hierarchy(model, samples, warm, window_seed(master_seed, 0));
-    let total = model.layout().total();
-    let work_per_window = total * total * 64;
-    // Windows are grouped into small chunks so a scratch workspace can
-    // migrate machine-to-machine inside each chunk (only its first
-    // window pays the stage-buffer allocations). Every window still gets
-    // its own `(master_seed, index)` RNG and workspace buffers carry
-    // capacity, never values, so results stay bit-identical to the
-    // per-window formulation across every [`crate::Threading`] policy.
-    let chunk = GUARD_POOL_CHUNK;
-    let n_chunks = samples.len().div_ceil(chunk);
-    let chunks = crate::threading::par_map(n_chunks, chunk * work_per_window, |c| {
-        use rand::SeedableRng;
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(samples.len());
-        let mut pool: Option<dsgl_ising::Workspace> = None;
-        let mut out = Vec::with_capacity(hi - lo);
-        for (i, sample) in samples.iter().enumerate().take(hi).skip(lo) {
-            let mut rng =
-                rand::rngs::StdRng::seed_from_u64(window_seed(master_seed, i as u64));
-            out.push(infer_dense_guarded_warm_hier(
-                model,
-                sample,
-                guard,
-                &FaultModel::none(),
-                sink,
-                &mut pool,
-                None,
-                scope,
-                warm,
-                hierarchy.as_ref(),
-                &mut rng,
-            ));
-        }
-        out
-    });
-    chunks.into_iter().flatten().collect()
-}
-
-/// Builds the batch-shared multigrid hierarchy when the policy is
-/// [`WarmStart::Multigrid`](crate::inference::WarmStart::Multigrid): a
-/// throwaway probe machine for the first sample supplies the coupling
-/// topology and clamp mask, both identical across the batch's windows.
-/// Returns `None` for every other policy, for an unbuildable hierarchy,
-/// or when the probe cannot be constructed — each window then falls
-/// back exactly as the one-shot warm start would.
-fn batch_hierarchy(
-    model: &DsGlModel,
-    samples: &[Sample],
-    warm: crate::inference::WarmStart,
-    probe_seed: u64,
-) -> Option<dsgl_ising::MultigridHierarchy> {
-    use rand::SeedableRng;
-    let crate::inference::WarmStart::Multigrid { levels, coarse_tol } = warm else {
-        return None;
-    };
-    let mut rng = rand::rngs::StdRng::seed_from_u64(probe_seed);
-    let probe = crate::inference::machine_for_sample(model, samples.first()?, &mut rng).ok()?;
-    dsgl_ising::multigrid::build_hierarchy(
-        &probe,
-        &dsgl_ising::MultigridOptions { levels, coarse_tol },
-    )
-}
-
-/// Windows per workspace-pooling chunk in
-/// [`infer_batch_guarded_instrumented`]: small enough that batches keep
-/// saturating the thread pool, large enough to amortise the first
-/// window's workspace warm-up across the rest of the chunk.
-const GUARD_POOL_CHUNK: usize = 8;
-
-/// [`infer_batch_guarded_instrumented`] with an explicit RNG seed and a
-/// shared fault model per window — the serving-layer entry point behind
-/// `dsgl-serve`'s request coalescing.
-///
-/// Window `i` anneals exactly as the single-window guarded batch
-/// `infer_batch_guarded(model, &samples[i..=i], guard, seeds[i])` would
-/// anneal its only window: its RNG is seeded from
-/// `window_seed(seeds[i], 0)`, it cold-starts, and `faults` are
-/// injected into its machine before the guard runs. Because every
-/// window is a pure function of `(model, sample, guard, faults, seed)`,
-/// grouping requests into one coalesced call can never change a single
-/// output bit relative to executing them one at a time — the contract
-/// the serving layer's determinism suite pins.
+/// Batches of up to eight windows (32 when lockstep fuses them) run on
+/// the calling thread with the caller's pool; larger batches split
+/// across the thread pool in fixed chunks. `ctx`'s
+/// cancel token reaches every machine, so one token cancels the whole
+/// batch: windows stopped mid-anneal come back `cancelled` and
+/// `degraded`, windows that finished first keep their results.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::EmptyTrainingSet`] for an empty batch, a
-/// [`CoreError::SampleShapeMismatch`] when `seeds` and `samples`
-/// disagree in length, or the first per-window shape/parameter error in
-/// sample order.
+/// [`CoreError::SampleShapeMismatch`] when `seeds` (or a non-empty
+/// `ctx.scopes`) disagrees with `samples` in length, or the first
+/// per-window shape/parameter error in sample order.
+pub fn infer_batch_guarded(
+    model: &DsGlModel,
+    samples: &[Sample],
+    guard: &GuardedAnneal,
+    seeds: &[u64],
+    ctx: &mut RunCtx<'_>,
+) -> Result<Vec<(Vec<f64>, AnnealReport, HealthReport)>, CoreError> {
+    crate::inference::drive_batch(model, samples, guard, seeds, ctx)
+}
+
+/// [`infer_batch_guarded`] with a fault model and a telemetry sink and
+/// an otherwise default [`RunCtx`].
+///
+/// # Errors
+///
+/// See [`infer_batch_guarded`].
 pub fn infer_batch_guarded_seeded_instrumented(
     model: &DsGlModel,
     samples: &[Sample],
@@ -866,327 +501,23 @@ pub fn infer_batch_guarded_seeded_instrumented(
     faults: &FaultModel,
     sink: &TelemetrySink,
 ) -> Result<Vec<(Vec<f64>, AnnealReport, HealthReport)>, CoreError> {
-    infer_batch_guarded_seeded_pooled(model, samples, guard, seeds, faults, sink, &mut None)
-}
-
-/// [`infer_batch_guarded_seeded_instrumented`] with a caller-owned
-/// scratch [`dsgl_ising::Workspace`] pool that survives the call: a
-/// long-lived serving worker passes the same pool into every coalesced
-/// batch, so only its very first window ever pays the stage-buffer
-/// allocations. Buffers carry capacity, never values, so the pooled
-/// call is bit-identical to the plain one (`&mut None` *is* the plain
-/// call).
-///
-/// Batches no larger than the internal pooling chunk run on the calling
-/// thread with the caller's pool; larger batches split across the
-/// thread pool in fixed chunks (the caller's pool then seeds the first
-/// chunk only). Either way results are bit-identical across every
-/// [`crate::Threading`] policy.
-///
-/// # Errors
-///
-/// See [`infer_batch_guarded_seeded_instrumented`].
-pub fn infer_batch_guarded_seeded_pooled(
-    model: &DsGlModel,
-    samples: &[Sample],
-    guard: &GuardedAnneal,
-    seeds: &[u64],
-    faults: &FaultModel,
-    sink: &TelemetrySink,
-    pool: &mut Option<dsgl_ising::Workspace>,
-) -> Result<Vec<(Vec<f64>, AnnealReport, HealthReport)>, CoreError> {
-    infer_batch_guarded_seeded_supervised(model, samples, guard, seeds, faults, sink, pool, None)
-}
-
-/// [`infer_batch_guarded_seeded_pooled`] with an optional supervisor
-/// [`CancelToken`](dsgl_ising::CancelToken) attached to every window's
-/// machine (including lockstep probes and their serial rebuilds): one
-/// token cancels the whole coalesced batch, which is exactly the
-/// granularity a serving worker owns. Windows cancelled mid-anneal come
-/// back `cancelled` + `degraded` in their [`HealthReport`]; windows
-/// that finished before the token fired keep their ordinary results.
-/// `None` *is* the plain pooled call, bit for bit.
-///
-/// # Errors
-///
-/// See [`infer_batch_guarded_seeded_instrumented`].
-#[allow(clippy::too_many_arguments)]
-pub fn infer_batch_guarded_seeded_supervised(
-    model: &DsGlModel,
-    samples: &[Sample],
-    guard: &GuardedAnneal,
-    seeds: &[u64],
-    faults: &FaultModel,
-    sink: &TelemetrySink,
-    pool: &mut Option<dsgl_ising::Workspace>,
-    cancel: Option<&dsgl_ising::CancelToken>,
-) -> Result<Vec<(Vec<f64>, AnnealReport, HealthReport)>, CoreError> {
-    infer_batch_guarded_seeded_traced(model, samples, guard, seeds, faults, sink, pool, cancel, &[])
-}
-
-/// [`infer_batch_guarded_seeded_supervised`] with one
-/// [`TraceScope`](crate::tracing::TraceScope) per window (aligned with
-/// `samples`; an empty slice means every window is untraced, and *is*
-/// the plain supervised call). Window `i`'s machine records its
-/// `anneal.{strict,adaptive,lockstep}` phase span and any `guard.retry`
-/// spans into `scopes[i]`, and its [`HealthReport`] carries that
-/// scope's trace id — the hook `dsgl-serve` uses to parent per-window
-/// spans under the owning request's `serve.batch` span. Spans are
-/// recorded only after dynamics finish, so traced results stay
-/// bit-identical to untraced ones.
-///
-/// # Errors
-///
-/// See [`infer_batch_guarded_seeded_instrumented`]; additionally a
-/// non-empty `scopes` must match `samples` in length.
-#[allow(clippy::too_many_arguments)]
-pub fn infer_batch_guarded_seeded_traced(
-    model: &DsGlModel,
-    samples: &[Sample],
-    guard: &GuardedAnneal,
-    seeds: &[u64],
-    faults: &FaultModel,
-    sink: &TelemetrySink,
-    pool: &mut Option<dsgl_ising::Workspace>,
-    cancel: Option<&dsgl_ising::CancelToken>,
-    scopes: &[crate::tracing::TraceScope],
-) -> Result<Vec<(Vec<f64>, AnnealReport, HealthReport)>, CoreError> {
-    infer_batch_guarded_seeded_warm_traced(
+    infer_batch_guarded(
         model,
         samples,
         guard,
         seeds,
-        faults,
-        sink,
-        pool,
-        cancel,
-        scopes,
-        crate::inference::WarmStart::Cold,
-    )
-}
-
-/// [`infer_batch_guarded_seeded_traced`] with a [`WarmStart`] policy
-/// per window — the serving-layer entry point when multigrid warm
-/// starts are enabled in `ServeConfig`.
-///
-/// Every window remains a pure function of
-/// `(model, sample, guard, faults, seed, warm)`: the multigrid warm
-/// start is seeded internally and draws nothing from the per-window
-/// RNG, so coalescing requests into one batch still cannot change a
-/// single output bit. The lockstep fast path only fuses cold windows;
-/// any other policy runs the serial per-window path.
-///
-/// # Errors
-///
-/// See [`infer_batch_guarded_seeded_instrumented`]; additionally a
-/// non-empty `scopes` must match `samples` in length.
-#[allow(clippy::too_many_arguments)]
-pub fn infer_batch_guarded_seeded_warm_traced(
-    model: &DsGlModel,
-    samples: &[Sample],
-    guard: &GuardedAnneal,
-    seeds: &[u64],
-    faults: &FaultModel,
-    sink: &TelemetrySink,
-    pool: &mut Option<dsgl_ising::Workspace>,
-    cancel: Option<&dsgl_ising::CancelToken>,
-    scopes: &[crate::tracing::TraceScope],
-    warm: crate::inference::WarmStart,
-) -> Result<Vec<(Vec<f64>, AnnealReport, HealthReport)>, CoreError> {
-    if !scopes.is_empty() && scopes.len() != samples.len() {
-        return Err(CoreError::SampleShapeMismatch {
-            what: "per-window trace scope list",
-            expected: samples.len(),
-            actual: scopes.len(),
-        });
-    }
-    if samples.is_empty() {
-        return Err(CoreError::EmptyTrainingSet);
-    }
-    if seeds.len() != samples.len() {
-        return Err(CoreError::SampleShapeMismatch {
-            what: "per-window seed list",
-            expected: samples.len(),
-            actual: seeds.len(),
-        });
-    }
-    // Lockstep fast path: when the whole coalesced batch is eligible,
-    // fuse every window's mat-vecs into one GEMM per integrator stage.
-    // Faults that alter the coupling (dead couplers, drift) make the
-    // per-window matrices diverge, so only coupling-preserving fault
-    // models qualify; `run_lockstep` re-checks everything else.
-    if samples.len() >= 2
-        && warm == crate::inference::WarmStart::Cold
-        && faults.dead_couplers.is_empty()
-        && faults.coupler_drift == 0.0
-        && crate::inference::lockstep_precheck(model, &guard.anneal)
-    {
-        if let Some(out) = lockstep_guarded_batch(
-            model, samples, guard, seeds, faults, sink, pool, cancel, scopes,
-        )? {
-            return Ok(out);
-        }
-    }
-    let hierarchy = batch_hierarchy(model, samples, warm, window_seed(seeds[0], 0));
-    let run_window = |i: usize, pool: &mut Option<dsgl_ising::Workspace>| {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(window_seed(seeds[i], 0));
-        let noop = crate::tracing::TraceScope::noop();
-        let scope = scopes.get(i).unwrap_or(&noop);
-        infer_dense_guarded_warm_hier(
-            model,
-            &samples[i],
-            guard,
-            faults,
+        &mut RunCtx {
             sink,
-            pool,
-            cancel,
-            scope,
-            warm,
-            hierarchy.as_ref(),
-            &mut rng,
-        )
-    };
-    if samples.len() <= GUARD_POOL_CHUNK {
-        let mut out = Vec::with_capacity(samples.len());
-        for i in 0..samples.len() {
-            out.push(run_window(i, pool)?);
-        }
-        return Ok(out);
-    }
-    let total = model.layout().total();
-    let work_per_window = total * total * 64;
-    let chunk = GUARD_POOL_CHUNK;
-    let n_chunks = samples.len().div_ceil(chunk);
-    let first = std::mem::take(pool);
-    let first = std::sync::Mutex::new(Some(first));
-    let chunks = crate::threading::par_map(n_chunks, chunk * work_per_window, |c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(samples.len());
-        // Chunk 0 adopts the caller's long-lived pool; other chunks
-        // warm up their own (capacity only — results are unchanged).
-        let mut local: Option<dsgl_ising::Workspace> = if c == 0 {
-            first.lock().unwrap_or_else(|e| e.into_inner()).take().flatten()
-        } else {
-            None
-        };
-        let mut out = Vec::with_capacity(hi - lo);
-        for i in lo..hi {
-            out.push(run_window(i, &mut local));
-        }
-        if c == 0 {
-            *first.lock().unwrap_or_else(|e| e.into_inner()) = Some(local);
-        }
-        out
-    });
-    *pool = first
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .flatten();
-    chunks.into_iter().flatten().collect()
-}
-
-/// One guarded window's outcome: prediction, annealing report, health.
-type GuardedWindow = (Vec<f64>, AnnealReport, HealthReport);
-
-/// Lockstep fast path of [`infer_batch_guarded_seeded_pooled`]: builds
-/// every window's machine with exactly the per-window RNG draws of the
-/// serial path, advances all of them in one batched integration (see
-/// `dsgl_ising::lockstep`), and accepts each window whose diagnosis is
-/// clean — accounting for it precisely as a clean serial `guard.run`
-/// first attempt would (same [`AnnealReport`], same healthy
-/// [`HealthReport`], same `anneal.*` / `guard.*` telemetry).
-///
-/// `Ok(None)` means the batch turned out lockstep-ineligible (sparse
-/// coupling, differing couplings, …): the probe machines are discarded
-/// — they recorded no telemetry — and the caller runs the serial path,
-/// which rebuilds them under the same seeds and therefore counts
-/// everything exactly once.
-///
-/// Windows the guard rejects fall back individually: the machine is
-/// rebuilt from scratch under the same seed and the full retry ladder
-/// runs serially. A strict noiseless attempt consumes no RNG, so the
-/// rebuilt machine's first attempt replays the lockstep integration
-/// bit-for-bit and the ladder proceeds exactly as an all-serial window.
-#[allow(clippy::too_many_arguments)]
-fn lockstep_guarded_batch(
-    model: &DsGlModel,
-    samples: &[Sample],
-    guard: &GuardedAnneal,
-    seeds: &[u64],
-    faults: &FaultModel,
-    sink: &TelemetrySink,
-    pool: &mut Option<dsgl_ising::Workspace>,
-    cancel: Option<&dsgl_ising::CancelToken>,
-    scopes: &[crate::tracing::TraceScope],
-) -> Result<Option<Vec<GuardedWindow>>, CoreError> {
-    use rand::SeedableRng;
-    let mut machines = Vec::with_capacity(samples.len());
-    for (i, sample) in samples.iter().enumerate() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(window_seed(seeds[i], 0));
-        let mut dspu = crate::inference::machine_for_sample(model, sample, &mut rng)?;
-        dspu.set_telemetry(sink.clone());
-        if let Some(scope) = scopes.get(i) {
-            dspu.set_tracing(scope.clone());
-        }
-        if let Some(token) = cancel {
-            dspu.set_cancel(token.clone());
-        }
-        dspu.inject_faults(faults, &mut rng)?;
-        machines.push(dspu);
-    }
-    let mut ws = pool.take().unwrap_or_default();
-    let reports = dsgl_ising::run_lockstep(&mut machines, &guard.anneal, &mut ws);
-    *pool = Some(ws);
-    let Some(reports) = reports else {
-        return Ok(None);
-    };
-    if sink.is_enabled() {
-        sink.counter_add("anneal.lockstep_batches", 1);
-        sink.counter_add("anneal.lockstep_windows", machines.len() as u64);
-    }
-    let layout = model.layout();
-    let mut out = Vec::with_capacity(machines.len());
-    for (i, (mut dspu, report)) in machines.into_iter().zip(reports).enumerate() {
-        if guard.diagnose(&mut dspu, &report).is_none() {
-            dspu.record_anneal(&report);
-            let health = HealthReport {
-                anneal_steps: report.steps,
-                anneal_sim_time_ns: report.sim_time_ns,
-                trace_id: dspu.tracing().trace_id(),
-                ..HealthReport::default()
-            };
-            record_guard_metrics(dspu.telemetry(), &health);
-            out.push((dspu.state()[layout.target_range()].to_vec(), report, health));
-        } else {
-            if sink.is_enabled() {
-                sink.counter_add("anneal.lockstep_retries", 1);
-            }
-            drop(dspu);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(window_seed(seeds[i], 0));
-            let mut fresh = crate::inference::machine_for_sample(model, &samples[i], &mut rng)?;
-            fresh.set_telemetry(sink.clone());
-            if let Some(scope) = scopes.get(i) {
-                fresh.set_tracing(scope.clone());
-            }
-            if let Some(token) = cancel {
-                // A latched token makes the rebuild return immediately
-                // (zero steps) with a `cancelled` report, so a watchdog
-                // cancellation drains the whole batch fast.
-                fresh.set_cancel(token.clone());
-            }
-            fresh.inject_faults(faults, &mut rng)?;
-            let (retried, health) = guard.run(&mut fresh, &mut rng);
-            out.push((fresh.state()[layout.target_range()].to_vec(), retried, health));
-        }
-    }
-    Ok(Some(out))
+            faults,
+            ..RunCtx::default()
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inference::{infer_batch, infer_dense, machine_for_sample};
+    use crate::inference::{batch_seeds, infer_batch, infer_dense, machine_for_sample, WarmStart};
     use crate::model::VariableLayout;
     use dsgl_ising::fault::StuckNode;
     use dsgl_ising::Coupling;
@@ -1226,15 +557,17 @@ mod tests {
         let guarded = {
             let mut rng = StdRng::seed_from_u64(7);
             let (pred, report, health) =
-                infer_dense_guarded(&model, &sample, &guard, &mut rng).unwrap();
+                infer_dense_guarded(&model, &sample, &guard, &mut rng, &mut RunCtx::default())
+                    .unwrap();
             assert!(health.healthy(), "health: {health:?}");
             // Identical RNG consumption: the next draw matches too.
             (pred, report, rng.random::<f64>())
         };
         let unguarded = {
             let mut rng = StdRng::seed_from_u64(7);
+            let cfg = AnnealConfig::default();
             let (pred, report) =
-                infer_dense(&model, &sample, &AnnealConfig::default(), &mut rng).unwrap();
+                infer_dense(&model, &sample, &cfg, &mut rng, &mut RunCtx::default()).unwrap();
             (pred, report, rng.random::<f64>())
         };
         assert_eq!(guarded.0, unguarded.0, "predictions must match bitwise");
@@ -1256,8 +589,12 @@ mod tests {
             ..FaultModel::none()
         };
         let mut rng = StdRng::seed_from_u64(3);
+        let mut ctx = RunCtx {
+            faults: &faults,
+            ..RunCtx::default()
+        };
         let (pred, _, health) =
-            infer_dense_guarded_faulted(&model, &sample, &guard, &faults, &mut rng).unwrap();
+            infer_dense_guarded(&model, &sample, &guard, &mut rng, &mut ctx).unwrap();
         assert!(pred.iter().all(|p| p.is_finite()), "prediction: {pred:?}");
         assert!(!health.attempts.is_empty(), "guard must have fired");
         assert_eq!(health.attempts[0].cause, FailureCause::NonFiniteState);
@@ -1388,34 +725,18 @@ mod tests {
     fn unfired_cancel_token_is_bit_invisible() {
         let (model, sample) = linear_model(4);
         let guard = GuardedAnneal::new(AnnealConfig::default());
-        let sink = TelemetrySink::noop();
         let plain = {
             let mut rng = StdRng::seed_from_u64(21);
-            infer_dense_guarded_pooled(
-                &model,
-                &sample,
-                &guard,
-                &FaultModel::none(),
-                &sink,
-                &mut None,
-                &mut rng,
-            )
-            .unwrap()
+            infer_dense_guarded(&model, &sample, &guard, &mut rng, &mut RunCtx::default()).unwrap()
         };
         let supervised = {
             let mut rng = StdRng::seed_from_u64(21);
             let token = dsgl_ising::CancelToken::new();
-            infer_dense_guarded_supervised(
-                &model,
-                &sample,
-                &guard,
-                &FaultModel::none(),
-                &sink,
-                &mut None,
-                Some(&token),
-                &mut rng,
-            )
-            .unwrap()
+            let mut ctx = RunCtx {
+                cancel: Some(&token),
+                ..RunCtx::default()
+            };
+            infer_dense_guarded(&model, &sample, &guard, &mut rng, &mut ctx).unwrap()
         };
         assert_eq!(plain.0, supervised.0, "prediction bits must match");
         assert_eq!(plain.1, supervised.1);
@@ -1430,17 +751,12 @@ mod tests {
         let token = dsgl_ising::CancelToken::new();
         token.cancel(); // pre-fired: the run stops at its first step
         let mut rng = StdRng::seed_from_u64(22);
-        let (pred, report, health) = infer_dense_guarded_supervised(
-            &model,
-            &sample,
-            &guard,
-            &FaultModel::none(),
-            &TelemetrySink::noop(),
-            &mut None,
-            Some(&token),
-            &mut rng,
-        )
-        .unwrap();
+        let mut ctx = RunCtx {
+            cancel: Some(&token),
+            ..RunCtx::default()
+        };
+        let (pred, report, health) =
+            infer_dense_guarded(&model, &sample, &guard, &mut rng, &mut ctx).unwrap();
         assert!(health.cancelled, "health: {health:?}");
         assert!(health.degraded);
         assert!(!health.healthy());
@@ -1466,29 +782,14 @@ mod tests {
             .collect();
         let seeds: Vec<u64> = (0..6).map(|i| 500 + 11 * i as u64).collect();
         let guard = GuardedAnneal::new(AnnealConfig::default());
-        let sink = TelemetrySink::noop();
-        let plain = infer_batch_guarded_seeded_pooled(
-            &model,
-            &windows,
-            &guard,
-            &seeds,
-            &FaultModel::none(),
-            &sink,
-            &mut None,
-        )
-        .unwrap();
+        let plain =
+            infer_batch_guarded(&model, &windows, &guard, &seeds, &mut RunCtx::default()).unwrap();
         let token = dsgl_ising::CancelToken::new();
-        let supervised = infer_batch_guarded_seeded_supervised(
-            &model,
-            &windows,
-            &guard,
-            &seeds,
-            &FaultModel::none(),
-            &sink,
-            &mut None,
-            Some(&token),
-        )
-        .unwrap();
+        let mut ctx = RunCtx {
+            cancel: Some(&token),
+            ..RunCtx::default()
+        };
+        let supervised = infer_batch_guarded(&model, &windows, &guard, &seeds, &mut ctx).unwrap();
         for (k, ((pa, ra, ha), (pb, rb, hb))) in plain.iter().zip(&supervised).enumerate() {
             assert_eq!(pa, pb, "window {k} diverged under an unfired token");
             assert_eq!(ra, rb);
@@ -1497,17 +798,11 @@ mod tests {
         // A pre-fired token marks every window cancelled.
         let fired = dsgl_ising::CancelToken::new();
         fired.cancel();
-        let cancelled = infer_batch_guarded_seeded_supervised(
-            &model,
-            &windows,
-            &guard,
-            &seeds,
-            &FaultModel::none(),
-            &sink,
-            &mut None,
-            Some(&fired),
-        )
-        .unwrap();
+        let mut ctx = RunCtx {
+            cancel: Some(&fired),
+            ..RunCtx::default()
+        };
+        let cancelled = infer_batch_guarded(&model, &windows, &guard, &seeds, &mut ctx).unwrap();
         for (k, (_, _, h)) in cancelled.iter().enumerate() {
             assert!(h.cancelled, "window {k} must be cancelled: {h:?}");
         }
@@ -1537,14 +832,14 @@ mod tests {
         )
         .unwrap();
         // The serial reference: each request executed alone, as a
-        // single-window guarded batch under its own master seed.
+        // single-window guarded batch under its own seed.
         for (k, ((pred, report, health), seed)) in coalesced.iter().zip(&seeds).enumerate() {
-            let alone = infer_batch_guarded_instrumented(
+            let alone = infer_batch_guarded(
                 &model,
                 &windows[k..=k],
                 &guard,
-                *seed,
-                &sink,
+                &[*seed],
+                &mut RunCtx::default(),
             )
             .unwrap();
             assert_eq!(pred, &alone[0].0, "window {k} diverged from serial run");
@@ -1552,18 +847,9 @@ mod tests {
             assert_eq!(health, &alone[0].2);
         }
         // A persistent caller pool never changes bits either.
-        let mut pool = None;
-        let pooled = infer_batch_guarded_seeded_pooled(
-            &model,
-            &windows,
-            &guard,
-            &seeds,
-            &FaultModel::none(),
-            &sink,
-            &mut pool,
-        )
-        .unwrap();
-        assert!(pool.is_some(), "pool must survive the call");
+        let mut ctx = RunCtx::default();
+        let pooled = infer_batch_guarded(&model, &windows, &guard, &seeds, &mut ctx).unwrap();
+        assert!(ctx.pool.is_some(), "pool must survive the call");
         for ((a, _, _), (b, _, _)) in coalesced.iter().zip(&pooled) {
             assert_eq!(a, b);
         }
@@ -1645,8 +931,22 @@ mod tests {
             })
             .collect();
         let guard = GuardedAnneal::new(AnnealConfig::default());
-        let guarded = infer_batch_guarded(&model, &windows, &guard, 13).unwrap();
-        let plain = infer_batch(&model, &windows, &AnnealConfig::default(), 13).unwrap();
+        let guarded = infer_batch_guarded(
+            &model,
+            &windows,
+            &guard,
+            &batch_seeds(13, 6),
+            &mut RunCtx::default(),
+        )
+        .unwrap();
+        let plain = infer_batch(
+            &model,
+            &windows,
+            &AnnealConfig::default(),
+            13,
+            &mut RunCtx::default(),
+        )
+        .unwrap();
         assert_eq!(guarded.len(), plain.len());
         for ((gp, gr, gh), (pp, pr)) in guarded.iter().zip(&plain) {
             assert!(gh.healthy());
@@ -1654,47 +954,15 @@ mod tests {
             assert_eq!(gr, pr);
         }
         assert!(matches!(
-            infer_batch_guarded(&model, &[], &guard, 0),
+            infer_batch_guarded(&model, &[], &guard, &[], &mut RunCtx::default()),
             Err(CoreError::EmptyTrainingSet)
         ));
     }
 
-    /// 48 free targets in three blocks of 16 with intra-block coupling
-    /// structure, so the Louvain coarsener has something to find.
+    /// The inference tests' 48-node community model, cut to six windows.
     fn community_setup(seed: u64) -> (DsGlModel, Vec<Sample>) {
-        let n = 48;
-        let layout = VariableLayout::new(1, n, 1);
-        let mut model = DsGlModel::new(layout);
-        let mut rng = StdRng::seed_from_u64(seed);
-        {
-            let j = model.coupling_mut();
-            for b in 0..3 {
-                let (lo, hi) = (b * 16, (b + 1) * 16);
-                for a in lo..hi {
-                    for c in (a + 1)..hi {
-                        if rng.random::<f64>() < 0.4 {
-                            j.set(n + a, n + c, 0.2 + 0.2 * rng.random::<f64>());
-                        }
-                    }
-                }
-            }
-            for b in 0..2 {
-                j.set(n + (b + 1) * 16 - 1, n + (b + 1) * 16, 0.05);
-            }
-            for i in 0..n {
-                j.set(i, n + i, 0.6);
-            }
-        }
-        let row_sums: Vec<f64> = (0..2 * n).map(|v| model.coupling().row_abs_sum(v)).collect();
-        for (v, sum) in row_sums.into_iter().enumerate() {
-            model.h_mut()[v] = -(1.0 + sum);
-        }
-        let windows: Vec<Sample> = (0..6)
-            .map(|_| Sample {
-                history: (0..n).map(|_| rng.random::<f64>() * 0.8 - 0.4).collect(),
-                target: vec![0.0; n],
-            })
-            .collect();
+        let (model, mut windows) = crate::inference::tests::community_model(seed);
+        windows.truncate(6);
         (model, windows)
     }
 
@@ -1706,16 +974,16 @@ mod tests {
         let (model, windows) = community_setup(31);
         let cfg = AnnealConfig::default();
         let guard = GuardedAnneal::new(cfg);
-        let warm = crate::inference::WarmStart::Multigrid {
-            levels: 1,
-            coarse_tol: 1e-3,
+        let warm = || RunCtx {
+            warm: WarmStart::Multigrid {
+                levels: 1,
+                coarse_tol: 1e-3,
+            },
+            ..RunCtx::default()
         };
-        let sink = TelemetrySink::noop();
-        let guarded =
-            infer_batch_guarded_warm_instrumented(&model, &windows, &guard, 13, warm, &sink)
-                .unwrap();
-        let plain =
-            crate::inference::infer_batch_warm(&model, &windows, &cfg, 13, warm).unwrap();
+        let seeds = batch_seeds(13, windows.len());
+        let guarded = infer_batch_guarded(&model, &windows, &guard, &seeds, &mut warm()).unwrap();
+        let plain = infer_batch(&model, &windows, &cfg, 13, &mut warm()).unwrap();
         assert_eq!(guarded.len(), plain.len());
         for ((gp, _, gh), (pp, _)) in guarded.iter().zip(&plain) {
             assert!(gh.healthy(), "guard fired on healthy hardware: {gh:?}");
@@ -1724,9 +992,7 @@ mod tests {
         }
         // Reruns reproduce bits, including under sequential threading.
         let again = crate::Threading::Sequential
-            .install(|| {
-                infer_batch_guarded_warm_instrumented(&model, &windows, &guard, 13, warm, &sink)
-            })
+            .install(|| infer_batch_guarded(&model, &windows, &guard, &seeds, &mut warm()))
             .unwrap();
         for ((gp, _, _), (ap, _, _)) in guarded.iter().zip(&again) {
             assert_eq!(gp, ap, "guarded multigrid must be thread-count independent");
@@ -1741,25 +1007,14 @@ mod tests {
         let (model, windows) = community_setup(32);
         let cfg = AnnealConfig::default();
         let guard = GuardedAnneal::new(cfg);
-        let sink = TelemetrySink::noop();
-        let chained = infer_batch_guarded_warm_instrumented(
-            &model,
-            &windows,
-            &guard,
-            17,
-            crate::inference::WarmStart::Chained { chunk: 3 },
-            &sink,
-        )
-        .unwrap();
-        let cold = infer_batch_guarded_warm_instrumented(
-            &model,
-            &windows,
-            &guard,
-            17,
-            crate::inference::WarmStart::Cold,
-            &sink,
-        )
-        .unwrap();
+        let seeds = batch_seeds(17, windows.len());
+        let mut ctx = RunCtx {
+            warm: WarmStart::Chained { chunk: 3 },
+            ..RunCtx::default()
+        };
+        let chained = infer_batch_guarded(&model, &windows, &guard, &seeds, &mut ctx).unwrap();
+        let cold =
+            infer_batch_guarded(&model, &windows, &guard, &seeds, &mut RunCtx::default()).unwrap();
         for ((cp, _, _), (kp, _, _)) in chained.iter().zip(&cold) {
             assert_eq!(cp, kp, "chained must degrade to cold in the guarded batch");
         }

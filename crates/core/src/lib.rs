@@ -23,7 +23,7 @@
 //! # Example: train and infer on a toy series
 //!
 //! ```
-//! use dsgl_core::{DsGlModel, Trainer, TrainConfig, VariableLayout, inference};
+//! use dsgl_core::{DsGlModel, RunCtx, Trainer, TrainConfig, VariableLayout, inference};
 //! use dsgl_data::{covid, WindowConfig};
 //! use dsgl_ising::AnnealConfig;
 //! use rand::SeedableRng;
@@ -37,7 +37,7 @@
 //! let cfg = TrainConfig { epochs: 2, ..TrainConfig::default() };
 //! Trainer::new(cfg).fit(&mut model, &train[..20.min(train.len())], &mut rng).unwrap();
 //! let (pred, report) = inference::infer_dense(
-//!     &model, &test[0], &AnnealConfig::default(), &mut rng).unwrap();
+//!     &model, &test[0], &AnnealConfig::default(), &mut rng, &mut RunCtx::default()).unwrap();
 //! assert_eq!(pred.len(), ds.node_count());
 //! assert!(report.sim_time_ns > 0.0);
 //! ```
@@ -63,7 +63,7 @@ pub mod windows;
 pub use dsgl_ising::CancelToken;
 pub use error::CoreError;
 pub use guard::{GuardedAnneal, HealthReport, RetryPolicy};
-pub use inference::{lockstep_enabled, set_lockstep_enabled, WarmStart};
+pub use inference::{lockstep_enabled, set_lockstep_enabled, RunCtx, WarmStart};
 pub use model::{DsGlModel, VariableLayout};
 pub use patterns::PatternKind;
 pub use sparsify::{decompose, DecomposeConfig, DecomposedModel};

@@ -10,10 +10,12 @@
 //! same bits.
 
 use dsgl_core::guard::GuardedAnneal;
+use dsgl_core::inference::batch_seeds;
 use dsgl_core::inference::WarmStart;
 use dsgl_core::ridge::{fit_ridge, refit_ridge_masked};
 use dsgl_core::{
-    guard, inference, DsGlModel, TelemetrySink, Threading, TrainConfig, Trainer, VariableLayout,
+    guard, inference, DsGlModel, RunCtx, TelemetrySink, Threading, TrainConfig, Trainer,
+    VariableLayout,
 };
 use dsgl_data::Sample;
 use dsgl_ising::{AnnealConfig, Coupling, EngineMode};
@@ -123,7 +125,7 @@ fn batch_inference_is_bit_identical_across_policies() {
     let cfg = AnnealConfig::default();
     let infer_under = |policy: Threading| -> Vec<u64> {
         policy
-            .install(|| inference::infer_batch(&model, windows, &cfg, 99))
+            .install(|| inference::infer_batch(&model, windows, &cfg, 99, &mut RunCtx::default()))
             .unwrap()
             .into_iter()
             .flat_map(|(pred, _)| pred.into_iter().map(|v| v.to_bits()))
@@ -155,8 +157,12 @@ fn warm_adaptive_batch_is_bit_identical_across_policies() {
     };
     let warm = WarmStart::Chained { chunk: 3 };
     let infer_under = |policy: Threading| -> Vec<u64> {
+        let mut ctx = RunCtx {
+            warm,
+            ..RunCtx::default()
+        };
         policy
-            .install(|| inference::infer_batch_warm(&model, windows, &cfg, 31, warm))
+            .install(|| inference::infer_batch(&model, windows, &cfg, 31, &mut ctx))
             .unwrap()
             .into_iter()
             .flat_map(|(pred, _)| pred.into_iter().map(|v| v.to_bits()))
@@ -184,14 +190,18 @@ fn guarded_batch_matches_unguarded_across_policies() {
     let windows = &samples[30..];
     let cfg = AnnealConfig::default();
     let guard = GuardedAnneal::new(cfg);
-    let unguarded: Vec<u64> = inference::infer_batch(&model, windows, &cfg, 17)
-        .unwrap()
-        .into_iter()
-        .flat_map(|(pred, _)| pred.into_iter().map(|v| v.to_bits()))
-        .collect();
+    let unguarded: Vec<u64> =
+        inference::infer_batch(&model, windows, &cfg, 17, &mut RunCtx::default())
+            .unwrap()
+            .into_iter()
+            .flat_map(|(pred, _)| pred.into_iter().map(|v| v.to_bits()))
+            .collect();
     for policy in POLICIES {
+        let seeds = batch_seeds(17, windows.len());
         let guarded = policy
-            .install(|| guard::infer_batch_guarded(&model, windows, &guard, 17))
+            .install(|| {
+                guard::infer_batch_guarded(&model, windows, &guard, &seeds, &mut RunCtx::default())
+            })
             .unwrap();
         for (_, _, health) in &guarded {
             assert!(health.healthy(), "guard fired on healthy hardware: {health:?}");
@@ -250,15 +260,19 @@ fn telemetry_sink_never_changes_inference_bits() {
     let cfg = AnnealConfig::default();
     let guard = GuardedAnneal::new(cfg);
 
-    let plain: Vec<u64> = inference::infer_batch(&model, windows, &cfg, 23)
+    let plain: Vec<u64> = inference::infer_batch(&model, windows, &cfg, 23, &mut RunCtx::default())
         .unwrap()
         .into_iter()
         .flat_map(|(pred, _)| pred.into_iter().map(|v| v.to_bits()))
         .collect();
     for policy in POLICIES {
         let sink = TelemetrySink::enabled();
+        let mut ctx = RunCtx {
+            sink: &sink,
+            ..RunCtx::default()
+        };
         let instrumented: Vec<u64> = policy
-            .install(|| inference::infer_batch_instrumented(&model, windows, &cfg, 23, &sink))
+            .install(|| inference::infer_batch(&model, windows, &cfg, 23, &mut ctx))
             .unwrap()
             .into_iter()
             .flat_map(|(pred, _)| pred.into_iter().map(|v| v.to_bits()))
@@ -271,10 +285,13 @@ fn telemetry_sink_never_changes_inference_bits() {
         assert_eq!(snapshot.counter("anneal.runs"), windows.len() as u64);
 
         let sink = TelemetrySink::enabled();
+        let seeds = batch_seeds(23, windows.len());
+        let mut ctx = RunCtx {
+            sink: &sink,
+            ..RunCtx::default()
+        };
         let guarded: Vec<u64> = policy
-            .install(|| {
-                guard::infer_batch_guarded_instrumented(&model, windows, &guard, 23, &sink)
-            })
+            .install(|| guard::infer_batch_guarded(&model, windows, &guard, &seeds, &mut ctx))
             .unwrap()
             .into_iter()
             .flat_map(|(pred, _, _)| pred.into_iter().map(|v| v.to_bits()))
@@ -342,8 +359,12 @@ fn multigrid_batch_is_bit_identical_across_policies() {
         coarse_tol: 1e-3,
     };
     let infer_under = |policy: Threading| -> Vec<u64> {
+        let mut ctx = RunCtx {
+            warm,
+            ..RunCtx::default()
+        };
         policy
-            .install(|| inference::infer_batch_warm(&model, &windows, &cfg, 47, warm))
+            .install(|| inference::infer_batch(&model, &windows, &cfg, 47, &mut ctx))
             .unwrap()
             .into_iter()
             .flat_map(|(pred, _)| pred.into_iter().map(|v| v.to_bits()))
@@ -372,18 +393,20 @@ fn guarded_multigrid_matches_unguarded_across_policies() {
         levels: 1,
         coarse_tol: 1e-3,
     };
-    let plain: Vec<u64> = inference::infer_batch_warm(&model, &windows, &cfg, 53, warm)
+    let warm_ctx = || RunCtx {
+        warm,
+        ..RunCtx::default()
+    };
+    let plain: Vec<u64> = inference::infer_batch(&model, &windows, &cfg, 53, &mut warm_ctx())
         .unwrap()
         .into_iter()
         .flat_map(|(pred, _)| pred.into_iter().map(|v| v.to_bits()))
         .collect();
     for policy in POLICIES {
-        let sink = TelemetrySink::noop();
+        let seeds = batch_seeds(53, windows.len());
         let guarded = policy
             .install(|| {
-                guard::infer_batch_guarded_warm_instrumented(
-                    &model, &windows, &guard, 53, warm, &sink,
-                )
+                guard::infer_batch_guarded(&model, &windows, &guard, &seeds, &mut warm_ctx())
             })
             .unwrap();
         for (_, _, health) in &guarded {

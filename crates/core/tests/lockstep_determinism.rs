@@ -10,7 +10,7 @@
 
 use dsgl_core::guard::infer_batch_guarded_seeded_instrumented;
 use dsgl_core::{
-    inference, set_lockstep_enabled, DsGlModel, GuardedAnneal, TelemetrySink, Threading,
+    inference, set_lockstep_enabled, DsGlModel, GuardedAnneal, RunCtx, TelemetrySink, Threading,
     TrainConfig, Trainer, VariableLayout,
 };
 use dsgl_data::{covid, Sample, WindowConfig};
@@ -57,7 +57,7 @@ fn forecasts_identical_across_simd_lockstep_threading() {
     dsgl_nn::kernels::set_simd_enabled(false);
     set_lockstep_enabled(false);
     let reference = Threading::Sequential
-        .install(|| inference::infer_batch(&model, &windows, &config, 99))
+        .install(|| inference::infer_batch(&model, &windows, &config, 99, &mut RunCtx::default()))
         .unwrap();
     let guarded_reference = Threading::Sequential
         .install(|| {
@@ -80,7 +80,15 @@ fn forecasts_identical_across_simd_lockstep_threading() {
                 let what = format!("simd={simd} lockstep={lockstep} threading={threading:?}");
 
                 let got = threading
-                    .install(|| inference::infer_batch(&model, &windows, &config, 99))
+                    .install(|| {
+                        inference::infer_batch(
+                            &model,
+                            &windows,
+                            &config,
+                            99,
+                            &mut RunCtx::default(),
+                        )
+                    })
                     .unwrap();
                 assert_eq!(got.len(), reference.len());
                 for (w, ((p, r), (rp, rr))) in got.iter().zip(&reference).enumerate() {
@@ -116,7 +124,11 @@ fn forecasts_identical_across_simd_lockstep_threading() {
     dsgl_nn::kernels::set_simd_enabled(true);
     set_lockstep_enabled(true);
     let probe = TelemetrySink::enabled();
-    let _ = inference::infer_batch_instrumented(&model, &windows, &config, 99, &probe).unwrap();
+    let mut ctx = RunCtx {
+        sink: &probe,
+        ..RunCtx::default()
+    };
+    let _ = inference::infer_batch(&model, &windows, &config, 99, &mut ctx).unwrap();
     let snap = probe.snapshot();
     assert!(
         snap.counter("anneal.lockstep_batches") >= 1,

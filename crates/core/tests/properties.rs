@@ -5,7 +5,9 @@
 
 use dsgl_core::inference::WarmStart;
 use dsgl_core::ridge::fit_ridge;
-use dsgl_core::{inference, DsGlModel, GuardedAnneal, Threading, TrainConfig, Trainer, VariableLayout};
+use dsgl_core::{
+    inference, DsGlModel, GuardedAnneal, RunCtx, Threading, TrainConfig, Trainer, VariableLayout,
+};
 use dsgl_data::Sample;
 use dsgl_ising::{AnnealConfig, EngineMode};
 use proptest::prelude::*;
@@ -197,10 +199,10 @@ proptest! {
             ..AnnealConfig::default()
         };
         let windows = &samples[40..];
-        let cold = inference::infer_batch_warm(&model, windows, &cfg, seed, WarmStart::Cold).unwrap();
-        let warm = inference::infer_batch_warm(
-            &model, windows, &cfg, seed, WarmStart::Chained { chunk },
-        ).unwrap();
+        let cold = inference::infer_batch(&model, windows, &cfg, seed, &mut RunCtx::default())
+            .unwrap();
+        let mut ctx = RunCtx { warm: WarmStart::Chained { chunk }, ..RunCtx::default() };
+        let warm = inference::infer_batch(&model, windows, &cfg, seed, &mut ctx).unwrap();
         for (i, ((pc, _), (pw, rw))) in cold.iter().zip(&warm).enumerate() {
             prop_assert!(rw.converged, "warm window {} did not converge", i);
             for (c, w) in pc.iter().zip(pw) {

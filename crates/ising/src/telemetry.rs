@@ -200,7 +200,7 @@ pub struct TelemetrySink {
 
 impl TelemetrySink {
     /// The disabled sink: every recording method is a single branch.
-    pub fn noop() -> Self {
+    pub const fn noop() -> Self {
         TelemetrySink { registry: None }
     }
 

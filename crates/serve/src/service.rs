@@ -2,11 +2,11 @@
 //! and the supervision layer (panic isolation, hung-anneal watchdog,
 //! graduated brownout admission).
 
-use dsgl_core::guard::{infer_batch_guarded_seeded_warm_traced, RetryPolicy};
+use dsgl_core::guard::{infer_batch_guarded, RetryPolicy};
 use dsgl_core::tracing::{chrome_trace_json, prometheus_text};
 use dsgl_core::{
     CancelToken, CoreError, DsGlModel, FlightDump, FlightRecorder, GuardedAnneal, HealthReport,
-    MetricsSnapshot, SpanCollector, SpanRecord, TelemetrySink, TraceScope,
+    MetricsSnapshot, RunCtx, SpanCollector, SpanRecord, TelemetrySink, TraceScope,
 };
 use dsgl_data::Sample;
 use dsgl_ising::Workspace;
@@ -686,9 +686,18 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize) {
         // leave it only at reply time, so whatever a panic interrupts
         // is still in the tray for exactly-once re-delivery.
         let tray = Mutex::new(batch.into_iter().map(Some).collect::<Vec<_>>());
+        let mut ctx = RunCtx {
+            sink: &shared.sink,
+            cancel: token.as_ref(),
+            faults: &shared.config.faults,
+            warm: shared.config.warm_start,
+            pool: pool.take(),
+            ..RunCtx::default()
+        };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve_batch(shared, &tray, &mut pool, token.as_ref(), batch_span);
+            serve_batch(shared, &tray, &mut ctx, batch_span);
         }));
+        pool = ctx.pool;
         shared.slots[slot].clear();
         match outcome {
             Ok(()) => {
@@ -790,8 +799,7 @@ fn handle_worker_panic(shared: &Arc<Shared>, slot: usize, tray: Mutex<Vec<Option
 fn serve_batch(
     shared: &Arc<Shared>,
     tray: &Mutex<Vec<Option<Request>>>,
-    pool: &mut Option<Workspace>,
-    token: Option<&CancelToken>,
+    ctx: &mut RunCtx<'_>,
     batch_span: u64,
 ) {
     let lock_tray = || tray.lock().unwrap_or_else(|e| e.into_inner());
@@ -875,11 +883,11 @@ fn serve_batch(
         (normal, hung)
     };
     if !normal.is_empty() {
-        serve_group(shared, tray, &normal, &shared.guard, pool, token, width, batch_span);
+        serve_group(shared, tray, &normal, &shared.guard, ctx, width, batch_span);
     }
     if !hung.is_empty() {
         let chaos_guard = chaos_hang_guard(&shared.guard);
-        serve_group(shared, tray, &hung, &chaos_guard, pool, token, width, batch_span);
+        serve_group(shared, tray, &hung, &chaos_guard, ctx, width, batch_span);
     }
 }
 
@@ -907,17 +915,16 @@ fn chaos_hang_guard(base: &GuardedAnneal) -> GuardedAnneal {
 }
 
 /// Serves one group of tray indices: coalesce duplicates, run the
-/// supervised guarded kernel once, fan results out. Cancelled windows
-/// (watchdog fired mid-group) are re-enqueued or served the persistence
-/// fallback instead of their (meaningless) partial states.
-#[allow(clippy::too_many_arguments)]
+/// supervised guarded kernel once under the worker's `ctx`, fan results
+/// out. Cancelled windows (watchdog fired mid-group) are re-enqueued or
+/// served the persistence fallback instead of their (meaningless)
+/// partial states.
 fn serve_group(
     shared: &Arc<Shared>,
     tray: &Mutex<Vec<Option<Request>>>,
     indices: &[usize],
     guard: &GuardedAnneal,
-    pool: &mut Option<Workspace>,
-    token: Option<&CancelToken>,
+    ctx: &mut RunCtx<'_>,
     width: usize,
     batch_span: u64,
 ) {
@@ -970,18 +977,13 @@ fn serve_group(
     } else {
         Vec::new()
     };
-    let results = infer_batch_guarded_seeded_warm_traced(
-        &shared.model,
-        &samples,
-        guard,
-        &seeds,
-        &shared.config.faults,
-        &shared.sink,
-        pool,
-        token,
-        &scopes,
-        shared.config.warm_start,
-    );
+    let mut traced = RunCtx {
+        scopes: &scopes,
+        pool: ctx.pool.take(),
+        ..*ctx
+    };
+    let results = infer_batch_guarded(&shared.model, &samples, guard, &seeds, &mut traced);
+    ctx.pool = traced.pool;
     match results {
         Ok(results) => {
             // Brownout score inputs — dedicated atomics, not the sink,

@@ -5,9 +5,9 @@
 //! An enabled span collector must not perturb a single bit of any of
 //! it (the PR 9 extension of the PR 4 telemetry contract).
 
-use dsgl_core::guard::infer_batch_guarded_instrumented;
+use dsgl_core::guard::infer_batch_guarded;
 use dsgl_core::{
-    DsGlModel, GuardedAnneal, HealthReport, SpanCollector, TelemetrySink, VariableLayout,
+    DsGlModel, GuardedAnneal, HealthReport, RunCtx, SpanCollector, TelemetrySink, VariableLayout,
 };
 use dsgl_data::Sample;
 use dsgl_ising::AnnealConfig;
@@ -51,7 +51,6 @@ fn requests(n: usize) -> Vec<(Vec<f64>, u64)> {
 fn serial_reference(reqs: &[(Vec<f64>, u64)]) -> Vec<(Vec<f64>, HealthReport)> {
     let model = model();
     let guard = guard();
-    let sink = TelemetrySink::noop();
     let target_len = model.layout().target_len();
     reqs.iter()
         .map(|(window, seed)| {
@@ -59,12 +58,12 @@ fn serial_reference(reqs: &[(Vec<f64>, u64)]) -> Vec<(Vec<f64>, HealthReport)> {
                 history: window.clone(),
                 target: vec![0.0; target_len],
             };
-            let mut out = infer_batch_guarded_instrumented(
+            let mut out = infer_batch_guarded(
                 &model,
                 std::slice::from_ref(&sample),
                 &guard,
-                *seed,
-                &sink,
+                &[*seed],
+                &mut RunCtx::default(),
             )
             .unwrap();
             let (pred, _, health) = out.remove(0);

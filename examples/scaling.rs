@@ -18,8 +18,8 @@
 //! cargo run --release --example scaling
 //! ```
 
-use dsgl::core::inference::{infer_batch_warm, infer_batch_warm_instrumented};
-use dsgl::core::{DsGlModel, TelemetrySink, VariableLayout, WarmStart};
+use dsgl::core::inference::infer_batch;
+use dsgl::core::{DsGlModel, RunCtx, TelemetrySink, VariableLayout, WarmStart};
 use dsgl::data::Sample;
 use dsgl::ising::multigrid::instruments;
 use dsgl::ising::AnnealConfig;
@@ -86,7 +86,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let t0 = Instant::now();
-    let chained = infer_batch_warm(&model, &samples, &cfg, 7, WarmStart::Chained { chunk: 0 })?;
+    let mut ctx = RunCtx {
+        warm: WarmStart::Chained { chunk: 0 },
+        ..RunCtx::default()
+    };
+    let chained = infer_batch(&model, &samples, &cfg, 7, &mut ctx)?;
     let chained_wall = t0.elapsed();
     let chained_steps: usize = chained.iter().map(|(_, r)| r.steps).sum();
     println!(
@@ -96,17 +100,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let sink = TelemetrySink::enabled();
     let t0 = Instant::now();
-    let mg = infer_batch_warm_instrumented(
-        &model,
-        &samples,
-        &cfg,
-        7,
-        WarmStart::Multigrid {
+    let mut ctx = RunCtx {
+        sink: &sink,
+        warm: WarmStart::Multigrid {
             levels: 2,
             coarse_tol: 1e-3,
         },
-        &sink,
-    )?;
+        ..RunCtx::default()
+    };
+    let mg = infer_batch(&model, &samples, &cfg, 7, &mut ctx)?;
     let mg_wall = t0.elapsed();
     let mg_steps: usize = mg.iter().map(|(_, r)| r.steps).sum();
     println!(

@@ -62,11 +62,9 @@
 //! # }
 //! ```
 
-use dsgl_core::guard::{
-    infer_batch_guarded_warm_instrumented, infer_dense_guarded_faulted_instrumented,
-};
+use dsgl_core::guard::{infer_batch_guarded, infer_dense_guarded};
 use dsgl_core::inference::{
-    infer_batch_warm_instrumented, infer_dense_imputation, infer_dense_instrumented, WarmStart,
+    batch_seeds, infer_batch, infer_dense, infer_dense_imputation, RunCtx, WarmStart,
 };
 use dsgl_core::ridge::{
     fit_gaussian_couplings, fit_ridge_instrumented, fit_ridge_validated_instrumented,
@@ -78,7 +76,6 @@ use dsgl_core::{
 use dsgl_data::{Dataset, Sample, WindowConfig};
 use dsgl_hw::coanneal::MappedMachine;
 use dsgl_hw::{HwConfig, HwFaultModel};
-use dsgl_ising::fault::FaultModel;
 use dsgl_ising::AnnealConfig;
 use rand::Rng;
 
@@ -286,6 +283,14 @@ impl Forecaster {
         self.telemetry.snapshot()
     }
 
+    /// A run context reporting into this forecaster's telemetry sink.
+    fn ctx(&self) -> RunCtx<'_> {
+        RunCtx {
+            sink: &self.telemetry,
+            ..RunCtx::default()
+        }
+    }
+
     /// Forecasts the next `horizon` frames from `W·N·F` history values
     /// (frames oldest→newest, node-major) by natural annealing.
     ///
@@ -301,8 +306,7 @@ impl Forecaster {
             history: history.to_vec(),
             target: vec![0.0; self.model.layout().target_len()],
         };
-        let (pred, _) =
-            infer_dense_instrumented(&self.model, &sample, &self.anneal, &self.telemetry, rng)?;
+        let (pred, _) = infer_dense(&self.model, &sample, &self.anneal, rng, &mut self.ctx())?;
         Ok(pred)
     }
 
@@ -326,14 +330,8 @@ impl Forecaster {
             history: history.to_vec(),
             target: vec![0.0; self.model.layout().target_len()],
         };
-        let (pred, _, health) = infer_dense_guarded_faulted_instrumented(
-            &self.model,
-            &sample,
-            &self.guard,
-            &FaultModel::none(),
-            &self.telemetry,
-            rng,
-        )?;
+        let (pred, _, health) =
+            infer_dense_guarded(&self.model, &sample, &self.guard, rng, &mut self.ctx())?;
         Ok((pred, health))
     }
 
@@ -366,14 +364,11 @@ impl Forecaster {
                 target: vec![0.0; target_len],
             })
             .collect();
-        let results = infer_batch_warm_instrumented(
-            &self.model,
-            &samples,
-            &self.anneal,
-            master_seed,
-            self.warm_start,
-            &self.telemetry,
-        )?;
+        let mut ctx = RunCtx {
+            warm: self.warm_start,
+            ..self.ctx()
+        };
+        let results = infer_batch(&self.model, &samples, &self.anneal, master_seed, &mut ctx)?;
         Ok(results.into_iter().map(|(pred, _)| pred).collect())
     }
 
@@ -405,20 +400,12 @@ impl Forecaster {
                 target: vec![0.0; target_len],
             })
             .collect();
-        let warm = match self.warm_start {
-            WarmStart::Multigrid { levels, coarse_tol } => {
-                WarmStart::Multigrid { levels, coarse_tol }
-            }
-            _ => WarmStart::Cold,
+        let seeds = batch_seeds(master_seed, samples.len());
+        let mut ctx = RunCtx {
+            warm: self.warm_start,
+            ..self.ctx()
         };
-        let results = infer_batch_guarded_warm_instrumented(
-            &self.model,
-            &samples,
-            &self.guard,
-            master_seed,
-            warm,
-            &self.telemetry,
-        )?;
+        let results = infer_batch_guarded(&self.model, &samples, &self.guard, &seeds, &mut ctx)?;
         Ok(results
             .into_iter()
             .map(|(pred, _, health)| (pred, health))

@@ -70,9 +70,10 @@ fn annealing_agrees_with_fixed_point() {
     let f = fixture(43);
     let mut rng = StdRng::seed_from_u64(1);
     for s in &f.test[..3] {
+        let mut ctx = dsgl::core::RunCtx::default();
+        let cfg = AnnealConfig::default();
         let (annealed, report) =
-            dsgl::core::inference::infer_dense(&f.dense, s, &AnnealConfig::default(), &mut rng)
-                .unwrap();
+            dsgl::core::inference::infer_dense(&f.dense, s, &cfg, &mut rng, &mut ctx).unwrap();
         assert!(report.converged);
         let fp = infer_fixed_point(&f.dense, s, 300).unwrap();
         let diff = dsgl::core::metrics::rmse(&annealed, &fp);
