@@ -5,11 +5,7 @@
 //! machine-readable snapshot to `results/BENCH_kernels.json`:
 //! per-kernel ns/op, a batch-forecast comparison of the strict
 //! fixed-schedule integrator against the event-driven engine (cold and
-//! warm-started) with steps-to-converge and active-set occupancy, and a
-//! lockstep-vs-serial comparison of the W-window batched integrator
-//! (per-window mat-vecs fused into one N×W GEMM per stage) against the
-//! per-window serial loop — bit-identical by construction, timed under
-//! sequential threading so the number isolates the GEMM-fusion win. Set
+//! warm-started) with steps-to-converge and active-set occupancy. Set
 //! `DSGL_BENCH_JSON_ONLY=1` to emit just the snapshot and skip criterion.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
@@ -237,26 +233,6 @@ struct BatchForecast {
     max_abs_delta_vs_strict: f64,
 }
 
-/// Lockstep batched annealing vs the per-window serial loop on the same
-/// strict workload — same seeds, same bits, different wall clock.
-#[derive(Serialize)]
-struct LockstepComparison {
-    windows: usize,
-    /// System variables per window machine ((W+1)·N·F).
-    variables: usize,
-    /// Wall ns for per-window serial strict inference (lockstep off).
-    serial_wall_ns: f64,
-    /// Wall ns for the same batch through the lockstep fused-GEMM path.
-    lockstep_wall_ns: f64,
-    /// serial over lockstep — above 1.0 means the fused GEMM wins.
-    wall_reduction: f64,
-    /// Windows that actually rode the lockstep batch (telemetry probe),
-    /// proving the fast path engaged rather than silently declining.
-    lockstep_windows: u64,
-    /// Lockstep predictions and reports bit-identical to serial.
-    bit_identical: bool,
-}
-
 #[derive(Serialize)]
 struct BenchSnapshot {
     command: String,
@@ -264,7 +240,6 @@ struct BenchSnapshot {
     simd: bool,
     kernels: Vec<KernelEntry>,
     batch_forecast: BatchForecast,
-    lockstep: LockstepComparison,
 }
 
 /// Mean wall-clock ns per call of `f` over `iters` calls (plus warm-up).
@@ -434,51 +409,6 @@ fn batch_forecast_snapshot(model: &DsGlModel, windows: &[dsgl_data::Sample]) -> 
     }
 }
 
-/// Times the strict batch twice — lockstep off, then on — under
-/// sequential threading so the ratio isolates the GEMM-fusion win from
-/// thread scaling, and verifies bitwise agreement of every prediction
-/// and report. Leaves the lockstep toggle at its default (on).
-fn lockstep_snapshot(model: &DsGlModel, windows: &[dsgl_data::Sample]) -> LockstepComparison {
-    let cfg = AnnealConfig {
-        tolerance: 1e-5,
-        ..AnnealConfig::default()
-    };
-    let run = |lockstep: bool| {
-        dsgl_core::set_lockstep_enabled(lockstep);
-        Threading::Sequential.install(|| {
-            let _ = inference::infer_batch(model, windows, &cfg, 42, &mut RunCtx::default()).unwrap();
-            let t0 = Instant::now();
-            let out = inference::infer_batch(model, windows, &cfg, 42, &mut RunCtx::default()).unwrap();
-            (t0.elapsed().as_nanos() as f64, out)
-        })
-    };
-    let (serial_wall_ns, serial) = run(false);
-    let (lockstep_wall_ns, lockstep) = run(true);
-    let bit_identical = serial.len() == lockstep.len()
-        && serial.iter().zip(&lockstep).all(|((p, r), (q, s))| {
-            r == s && p.len() == q.len() && p.iter().zip(q).all(|(a, b)| a.to_bits() == b.to_bits())
-        });
-    // Untimed instrumented pass proving the fused path actually engaged
-    // on this workload instead of silently declining to the serial loop.
-    let probe = dsgl_core::TelemetrySink::enabled();
-    let mut ctx = RunCtx {
-        sink: &probe,
-        ..RunCtx::default()
-    };
-    let _ = inference::infer_batch(model, windows, &cfg, 42, &mut ctx).unwrap();
-    let lockstep_windows = probe.snapshot().counter("anneal.lockstep_windows");
-    dsgl_core::set_lockstep_enabled(true);
-    LockstepComparison {
-        windows: windows.len(),
-        variables: model.layout().total(),
-        serial_wall_ns,
-        lockstep_wall_ns,
-        wall_reduction: serial_wall_ns / lockstep_wall_ns,
-        lockstep_windows,
-        bit_identical,
-    }
-}
-
 fn emit_snapshot() {
     let (model, windows) = bench_workload();
     let snapshot = BenchSnapshot {
@@ -486,7 +416,6 @@ fn emit_snapshot() {
         simd: dsgl_nn::kernels::simd_active(),
         kernels: kernel_entries(),
         batch_forecast: batch_forecast_snapshot(&model, &windows),
-        lockstep: lockstep_snapshot(&model, &windows),
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_kernels.json");
     let json = serde_json::to_string_pretty(&snapshot).expect("serialise bench snapshot");

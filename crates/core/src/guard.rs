@@ -407,25 +407,6 @@ impl Finish for GuardedAnneal {
     ) -> (AnnealReport, HealthReport) {
         GuardedAnneal::run(self, dspu, rng)
     }
-
-    /// Accepts a lockstep result only when its diagnosis is clean,
-    /// accounting for it precisely as a clean first attempt of
-    /// [`GuardedAnneal::run`] would: same healthy [`HealthReport`], same
-    /// `anneal.*` / `guard.*` telemetry.
-    fn accept(&self, dspu: &mut RealValuedDspu, report: &AnnealReport) -> Option<HealthReport> {
-        if self.diagnose(dspu, report).is_some() {
-            return None;
-        }
-        dspu.record_anneal(report);
-        let health = HealthReport {
-            anneal_steps: report.steps,
-            anneal_sim_time_ns: report.sim_time_ns,
-            trace_id: dspu.tracing().trace_id(),
-            ..HealthReport::default()
-        };
-        record_guard_metrics(dspu.telemetry(), &health);
-        Some(health)
-    }
 }
 
 /// Guarded counterpart of [`crate::inference::infer_dense`]: clamp
@@ -464,12 +445,12 @@ pub fn infer_dense_guarded<R: Rng + ?Sized>(
 /// wherever the guard never fires. [`WarmStart::Chained`](crate::WarmStart::Chained)
 /// runs cold.
 ///
-/// Batches of up to eight windows (32 when lockstep fuses them) run on
-/// the calling thread with the caller's pool; larger batches split
-/// across the thread pool in fixed chunks. `ctx`'s
-/// cancel token reaches every machine, so one token cancels the whole
-/// batch: windows stopped mid-anneal come back `cancelled` and
-/// `degraded`, windows that finished first keep their results.
+/// Batches of up to eight windows run on the calling thread with the
+/// caller's pool; larger batches split across the thread pool in fixed
+/// chunks. `ctx`'s cancel token reaches every machine, so one token
+/// cancels the whole batch: windows stopped mid-anneal come back
+/// `cancelled` and `degraded`, windows that finished first keep their
+/// results.
 ///
 /// # Errors
 ///

@@ -9,14 +9,13 @@ use crate::windows::observed_state;
 use dsgl_data::Sample;
 use dsgl_ising::fault::FaultModel;
 use dsgl_ising::{
-    AnnealConfig, AnnealReport, CancelToken, EngineMode, MultigridHierarchy, MultigridOptions,
-    RealValuedDspu, Workspace,
+    AnnealConfig, AnnealReport, CancelToken, MultigridHierarchy, MultigridOptions, RealValuedDspu,
+    Workspace,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 static NOOP_SINK: TelemetrySink = TelemetrySink::noop();
@@ -308,68 +307,10 @@ fn window_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(window_seed(seed, 0))
 }
 
-/// Lockstep kill switch, flipped by [`set_lockstep_enabled`]. Stored
-/// inverted so the zero-initialised static means "enabled" (the
-/// default). `Relaxed` suffices: both paths are bit-identical, so a
-/// racing toggle can only choose between two equally-correct codepaths.
-static LOCKSTEP_DISABLED: AtomicBool = AtomicBool::new(false);
-
-/// Globally enables or disables lockstep batched annealing (default:
-/// enabled). Lockstep fuses the per-window `J·σ` mat-vecs of a batch
-/// into one GEMM per integrator stage (see `dsgl_ising::lockstep`);
-/// because it is bit-identical to the serial path, this switch changes
-/// performance only — it exists for A/B benchmarking and as an
-/// operational escape hatch.
-pub fn set_lockstep_enabled(on: bool) {
-    LOCKSTEP_DISABLED.store(!on, Ordering::Relaxed);
-}
-
-/// Whether lockstep batched annealing is currently enabled (see
-/// [`set_lockstep_enabled`]).
-pub fn lockstep_enabled() -> bool {
-    !LOCKSTEP_DISABLED.load(Ordering::Relaxed)
-}
-
-/// Windows fused per lockstep GEMM batch: wide enough that a loaded row
-/// of `J` amortises across many columns, small enough that groups still
-/// spread across the thread pool.
-const LOCKSTEP_GROUP: usize = 32;
-
-/// Narrowest chunk lockstep fuses. Below it the GEMM loses to per-window
-/// sparse mat-vecs: on the 400-variable `covid` model (2-core x86-64,
-/// AVX) a fused batch of 2 or 3 windows took 3.3–4.9× the serial wall
-/// time, 4 to 7 windows 1.1–1.9×, and 8 windows 0.8–0.9×. A serving
-/// batch that costs more per window the more requests it coalesces
-/// makes latency under light load swing between the one-window cost and
-/// a queue that feeds on itself.
-const LOCKSTEP_MIN: usize = 8;
-
 /// Windows per workspace-pooling chunk on the per-window path: small
 /// enough that batches keep saturating the thread pool, large enough to
 /// amortise the first window's workspace warm-up across the rest.
 const POOL_CHUNK: usize = 8;
-
-/// Cheap eligibility probe run before building any machine: lockstep
-/// handles strict noiseless configs on reasonably dense models (the same
-/// ≥ 12.5 % stored-entry gate as `dsgl_ising::lockstep`, measured on the
-/// dense model coupling the per-window CSR is built from). `run_lockstep`
-/// remains the final authority — a `true` here only makes the attempt
-/// worth its probe.
-fn lockstep_precheck(model: &DsGlModel, config: &AnnealConfig) -> bool {
-    if !lockstep_enabled() || !matches!(config.mode, EngineMode::Strict) || !config.noise.is_none()
-    {
-        return false;
-    }
-    let n = model.layout().total();
-    if n == 0 {
-        return false;
-    }
-    let mut stored = 0usize;
-    for v in 0..n {
-        stored += model.coupling().row(v).iter().filter(|&&x| x != 0.0).count();
-    }
-    stored * 8 >= n * n
-}
 
 /// One window's outcome: prediction, annealing report, and what the
 /// finisher adds (nothing, or the guard's [`HealthReport`](crate::HealthReport)).
@@ -392,11 +333,6 @@ pub(crate) trait Finish: Sync {
         dspu: &mut RealValuedDspu,
         rng: &mut R,
     ) -> (AnnealReport, Self::Extra);
-
-    /// Accounts for a machine the lockstep integration already annealed
-    /// exactly as [`Finish::run`] would have on a clean first attempt;
-    /// `None` rejects it for a serial rerun from scratch.
-    fn accept(&self, dspu: &mut RealValuedDspu, report: &AnnealReport) -> Option<Self::Extra>;
 }
 
 impl Finish for AnnealConfig {
@@ -408,11 +344,6 @@ impl Finish for AnnealConfig {
 
     fn run<R: Rng + ?Sized>(&self, dspu: &mut RealValuedDspu, rng: &mut R) -> (AnnealReport, ()) {
         (dspu.run(self, rng), ())
-    }
-
-    fn accept(&self, dspu: &mut RealValuedDspu, report: &AnnealReport) -> Option<()> {
-        dspu.record_anneal(report);
-        Some(())
     }
 }
 
@@ -474,14 +405,8 @@ fn check_batch(samples: &[Sample], seeds: &[u64], ctx: &RunCtx<'_>) -> Result<()
 /// [`crate::guard::infer_batch_guarded`]. Window `i` anneals under the
 /// RNG `window_seed(seeds[i], 0)` and is a pure function of
 /// `(model, sample, fin, ctx.faults, ctx.warm, seeds[i])`, so neither
-/// the chunking, the thread count, nor the lockstep fusion below can
-/// change a bit.
-///
-/// Cold batches (anything but [`WarmStart::Multigrid`]) of strict
-/// noiseless windows on a dense model, with coupling-preserving faults,
-/// fuse each chunk of at least `LOCKSTEP_MIN` windows into one GEMM
-/// per integrator stage.
-/// Multigrid batches build the Louvain hierarchy once and share it.
+/// the chunking nor the thread count can change a bit. Multigrid
+/// batches build the Louvain hierarchy once and share it.
 pub(crate) fn drive_batch<F: Finish>(
     model: &DsGlModel,
     samples: &[Sample],
@@ -490,21 +415,8 @@ pub(crate) fn drive_batch<F: Finish>(
     ctx: &mut RunCtx<'_>,
 ) -> Result<Vec<Window<F::Extra>>, CoreError> {
     check_batch(samples, seeds, ctx)?;
-    let lockstep = !matches!(ctx.warm, WarmStart::Multigrid { .. })
-        && samples.len() >= LOCKSTEP_MIN
-        && ctx.faults.dead_couplers.is_empty()
-        && ctx.faults.coupler_drift == 0.0
-        && lockstep_precheck(model, fin.config());
     let hierarchy = batch_hierarchy(model, samples, ctx.warm, seeds[0]);
-    let chunk = if lockstep { LOCKSTEP_GROUP } else { POOL_CHUNK };
-    let out = for_chunks(ctx, model, samples.len(), chunk, |range, ctx| {
-        if lockstep && range.len() >= LOCKSTEP_MIN {
-            match lockstep_chunk(model, samples, fin, seeds, range.clone(), ctx) {
-                Ok(Some(out)) => return out.into_iter().map(Ok).collect(),
-                Ok(None) => {}
-                Err(e) => return vec![Err(e)],
-            }
-        }
+    let out = for_chunks(ctx, model, samples.len(), POOL_CHUNK, |range, ctx| {
         range
             .map(|i| {
                 let mut rng = window_rng(seeds[i]);
@@ -550,66 +462,6 @@ fn for_chunks<T: Send>(
     });
     ctx.pool = first.into_inner().unwrap_or_else(|e| e.into_inner());
     chunks.into_iter().flatten().collect()
-}
-
-/// The lockstep path of one chunk: builds every window's machine with
-/// exactly the per-window RNG draws of the serial path, advances them in
-/// one batched integration (see `dsgl_ising::lockstep`), and lets `fin`
-/// accept each result. A strict noiseless run consumes no RNG, so a
-/// rejected window rebuilt from scratch under its seed replays the
-/// lockstep integration bit for bit before its own finish (a guard's
-/// retry ladder) takes over.
-///
-/// `Ok(None)` means the chunk turned out lockstep-ineligible (sparse or
-/// diverging couplings, …): the probe machines are discarded — they
-/// recorded no telemetry — and the caller replays the chunk serially,
-/// so everything is counted exactly once.
-fn lockstep_chunk<F: Finish>(
-    model: &DsGlModel,
-    samples: &[Sample],
-    fin: &F,
-    seeds: &[u64],
-    range: Range<usize>,
-    ctx: &mut RunCtx<'_>,
-) -> Result<Option<Vec<Window<F::Extra>>>, CoreError> {
-    let mut ws = ctx.pool.take().unwrap_or_default();
-    let built = range
-        .clone()
-        .map(|i| {
-            let mut rng = window_rng(seeds[i]);
-            let mut dspu = machine_for_sample(model, &samples[i], &mut rng)?;
-            ctx.attach(&mut dspu, i);
-            dspu.inject_faults(ctx.faults, &mut rng)?;
-            Ok(dspu)
-        })
-        .collect::<Result<Vec<_>, CoreError>>()
-        .map(|mut machines| {
-            let reports = dsgl_ising::run_lockstep(&mut machines, fin.config(), &mut ws);
-            (machines, reports)
-        });
-    ctx.pool = Some(ws);
-    let (machines, Some(reports)) = built? else {
-        return Ok(None);
-    };
-    if ctx.sink.is_enabled() {
-        ctx.sink.counter_add("anneal.lockstep_batches", 1);
-        ctx.sink.counter_add("anneal.lockstep_windows", machines.len() as u64);
-    }
-    let target = model.layout().target_range();
-    let mut out = Vec::with_capacity(machines.len());
-    for ((i, mut dspu), report) in range.zip(machines).zip(reports) {
-        if let Some(extra) = fin.accept(&mut dspu, &report) {
-            out.push((dspu.state()[target.clone()].to_vec(), report, extra));
-            continue;
-        }
-        if ctx.sink.is_enabled() {
-            ctx.sink.counter_add("anneal.lockstep_retries", 1);
-        }
-        drop(dspu);
-        let mut rng = window_rng(seeds[i]);
-        out.push(solve_window(model, &samples[i], fin, ctx, i, None, &mut rng)?);
-    }
-    Ok(Some(out))
 }
 
 /// Builds the batch-shared multigrid hierarchy under

@@ -63,7 +63,7 @@ pub mod windows;
 pub use dsgl_ising::CancelToken;
 pub use error::CoreError;
 pub use guard::{GuardedAnneal, HealthReport, RetryPolicy};
-pub use inference::{lockstep_enabled, set_lockstep_enabled, RunCtx, WarmStart};
+pub use inference::{RunCtx, WarmStart};
 pub use model::{DsGlModel, VariableLayout};
 pub use patterns::PatternKind;
 pub use sparsify::{decompose, DecomposeConfig, DecomposedModel};

@@ -18,7 +18,6 @@
 //! | `serve.coalesce` | rider `serve.request` | `dsgl-serve` per duplicate |
 //! | `serve.fallback` | `serve.request` | `dsgl-serve` on SLO/watchdog fallback |
 //! | `anneal.strict` / `anneal.adaptive` | `serve.batch` (or caller scope) | [`RealValuedDspu`](dsgl_ising::RealValuedDspu) per run |
-//! | `anneal.lockstep` | `serve.batch` (or caller scope) | [`run_lockstep`](dsgl_ising::run_lockstep) per window |
 //! | `guard.retry` | `serve.batch` (or caller scope) | [`GuardedAnneal`](crate::GuardedAnneal) per rejected attempt |
 //! | `hw.coanneal` | caller scope | `MappedMachine` per co-anneal run |
 

@@ -1,10 +1,9 @@
 //! Malformed inputs to the four `RunCtx` entry points come back as a
 //! typed [`CoreError`], never as a panic.
 //!
-//! Every case runs under both a lockstep-eligible config (strict,
-//! noiseless, dense enough) and a noisy one, and at two batch sizes: a
-//! single chunk on the calling thread, and a batch large enough to be
-//! split into chunks.
+//! Every case runs under both a strict noiseless config and a noisy
+//! one, and at two batch sizes: a single chunk on the calling thread,
+//! and a batch large enough to be split into chunks.
 
 use dsgl_core::guard::{infer_batch_guarded, infer_dense_guarded};
 use dsgl_core::inference::{infer_batch, infer_dense};

@@ -50,8 +50,8 @@ fn guarded(results: &[(Vec<f64>, AnnealReport, HealthReport)]) -> u64 {
 }
 
 /// 2 history frames × 6 nodes with dense random couplings and
-/// diagonally dominant `h`: dense enough for the lockstep gate, small
-/// enough to anneal in milliseconds.
+/// diagonally dominant `h`: every coupling stored, small enough to
+/// anneal in milliseconds.
 fn dense_model() -> (DsGlModel, Vec<Sample>) {
     let n = 6;
     let layout = VariableLayout::new(2, n, 1);
@@ -124,8 +124,8 @@ fn community_model() -> (DsGlModel, Vec<Sample>) {
     (model, windows)
 }
 
-/// Strict but noisy: never lockstep-eligible, and every window draws
-/// annealing noise from its own RNG stream.
+/// Strict but noisy: every window draws annealing noise from its own
+/// RNG stream.
 fn noisy() -> AnnealConfig {
     AnnealConfig {
         noise: NoiseModel::relative(0.05),
@@ -229,6 +229,9 @@ fn batch_multigrid() {
     check("batch_multigrid", plain(&out), 0x71eb_e63d_2bf1_84f6);
 }
 
+/// A strict noiseless dense batch of 12 windows (two chunks). The name
+/// and constant date from the fused lockstep integrator, which was
+/// bit-identical to the per-window path that now produces them.
 #[test]
 fn batch_lockstep() {
     let (model, windows) = dense_model();
@@ -251,6 +254,9 @@ fn guarded_batch_master_seeded() {
     );
 }
 
+/// A guarded seeded batch of exactly 8 strict noiseless dense windows.
+/// The name and constant date from the fused lockstep integrator, which
+/// was bit-identical to the per-window path that now produces them.
 #[test]
 fn seeded_guarded_lockstep() {
     let (model, windows) = dense_model();

@@ -4,8 +4,8 @@
 //! unreachable tolerance, a pathological budget — would otherwise hold
 //! its worker thread forever: the integrator loops are pure compute
 //! with no I/O a supervisor could interrupt. [`CancelToken`] is the
-//! cooperative escape hatch: the integrators ([`run`], the adaptive
-//! engine, [`run_lockstep`]) poll the token once per integration step
+//! cooperative escape hatch: the integrators ([`run`] and the adaptive
+//! engine) poll the token once per integration step
 //! and bail out with an unconverged report the moment it fires.
 //!
 //! Design constraints, in order:
@@ -22,7 +22,6 @@
 //!   a watchdog cancellation.
 //!
 //! [`run`]: crate::RealValuedDspu::run
-//! [`run_lockstep`]: crate::lockstep::run_lockstep
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

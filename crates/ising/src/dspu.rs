@@ -151,7 +151,7 @@ impl RealValuedDspu {
     }
 
     /// Attaches a tracing scope: every subsequent annealing run records
-    /// one `anneal.{strict,adaptive,lockstep}` span into the scope's
+    /// one `anneal.{strict,adaptive}` span into the scope's
     /// [`SpanCollector`](crate::tracing::SpanCollector), carrying the
     /// step count and simulated time as args. Spans are recorded only
     /// after the dynamics finish, per the telemetry contract, so traced
@@ -700,7 +700,7 @@ impl RealValuedDspu {
     /// scope. Called only after the dynamics finish (the telemetry
     /// contract); with a noop scope `start` is `None` and this is a
     /// single branch.
-    pub(crate) fn record_anneal_span(
+    fn record_anneal_span(
         &self,
         name: &str,
         start: Option<std::time::Instant>,
@@ -715,17 +715,6 @@ impl RealValuedDspu {
                 ("converged", f64::from(u8::from(report.converged))),
             ],
         );
-    }
-
-    /// Reports an externally-integrated annealing run to the attached
-    /// telemetry sink, exactly as an in-machine [`run`](Self::run)
-    /// would have. Used by the lockstep batch driver
-    /// ([`crate::lockstep::run_lockstep`]), which integrates many
-    /// machines at once and therefore records per-window metrics from
-    /// the outside; calling it for a run the machine already recorded
-    /// would double-count.
-    pub fn record_anneal(&mut self, report: &AnnealReport) {
-        self.record_anneal_metrics(report);
     }
 
     /// Reports one finished annealing run to the attached telemetry

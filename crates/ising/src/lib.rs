@@ -61,7 +61,6 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod hamiltonian;
-pub mod lockstep;
 pub mod multigrid;
 pub mod noise;
 pub(crate) mod par;
@@ -85,7 +84,6 @@ pub use dspu::RealValuedDspu;
 pub use engine::{AdaptiveConfig, EngineMode};
 pub use error::IsingError;
 pub use fault::{FaultModel, StuckNode};
-pub use lockstep::run_lockstep;
 pub use multigrid::{
     build_hierarchy, multigrid_warm_start, warm_start_with, MultigridHierarchy, MultigridOptions,
     MultigridReport,

@@ -172,13 +172,30 @@ impl SparseCoupling {
         assert_eq!(s.len(), self.n, "state length mismatch");
         assert_eq!(out.len(), self.n, "output length mismatch");
         let work_per_row = self.vals.len() / self.n.max(1) + 1;
-        crate::par::fill_rows(out, work_per_row, |i| {
-            let mut acc = 0.0;
-            for (j, w) in self.row(i) {
-                acc += w * s[j];
-            }
-            acc
-        });
+        crate::par::fill_rows(out, work_per_row, |i| self.row_dot(i, s));
+    }
+
+    /// Row `i` of `J·s`, summed in ascending column order. The loop
+    /// takes four terms per trip: on a 2-core x86-64 box a one-term loop
+    /// ran the dense 400-variable `covid` anneal at 12.4 or 17.8 ms per
+    /// window depending only on where the linker placed it, and the
+    /// longer body does not. The additions still run one after another,
+    /// so the bits are those of the one-term loop.
+    fn row_dot(&self, i: usize, s: &[f64]) -> f64 {
+        let (lo, hi) = (self.offsets[i], self.offsets[i + 1]);
+        let mut cols = self.cols[lo..hi].chunks_exact(4);
+        let mut vals = self.vals[lo..hi].chunks_exact(4);
+        let mut acc = 0.0;
+        for (c, w) in (&mut cols).zip(&mut vals) {
+            acc += w[0] * s[c[0] as usize];
+            acc += w[1] * s[c[1] as usize];
+            acc += w[2] * s[c[2] as usize];
+            acc += w[3] * s[c[3] as usize];
+        }
+        for (&c, &w) in cols.remainder().iter().zip(vals.remainder()) {
+            acc += w * s[c as usize];
+        }
+        acc
     }
 
     /// Sum of `|J[i][j]|` over row `i`.

@@ -5,7 +5,7 @@
 //! histograms. This module answers *why this request*: a bounded
 //! [`SpanCollector`] records hierarchical spans with causal parent ids
 //! (`serve.request` → `serve.admission`/`serve.queue_wait` →
-//! `serve.batch` → `anneal.{strict,adaptive,lockstep}` →
+//! `serve.batch` → `anneal.{strict,adaptive}` →
 //! `guard.retry` → `serve.fallback`), and a fixed-capacity
 //! [`FlightRecorder`] keeps the most recent structured events
 //! (brownout edges, worker panics, watchdog fires, SLO fallbacks) for

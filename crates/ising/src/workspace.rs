@@ -58,27 +58,6 @@ pub struct Workspace {
     pub(crate) moved: Vec<(u32, f64, f64)>,
     /// Event engine: nodes whose currents changed this step.
     pub(crate) candidates: Vec<u32>,
-    /// Lockstep batch: densified shared coupling (`n × n`).
-    pub(crate) batch_j: Vec<f64>,
-    /// Lockstep batch: packed window states (`n × W`, window-minor).
-    pub(crate) batch_states: Vec<f64>,
-    /// Lockstep batch: fused coupling currents `J·S` (`n × W`).
-    pub(crate) batch_js: Vec<f64>,
-    /// Lockstep batch: per-window convergence snapshots (`n × W`).
-    pub(crate) batch_prev: Vec<f64>,
-    /// Lockstep batch: RK4 stage slopes (`n × W`).
-    pub(crate) batch_k1: Vec<f64>,
-    /// Lockstep batch: RK4 stage slopes (`n × W`).
-    pub(crate) batch_k2: Vec<f64>,
-    /// Lockstep batch: RK4 stage slopes (`n × W`).
-    pub(crate) batch_k3: Vec<f64>,
-    /// Lockstep batch: RK4 stage slopes (`n × W`).
-    pub(crate) batch_k4: Vec<f64>,
-    /// Lockstep batch: RK4 staged states (`n × W`).
-    pub(crate) batch_stage: Vec<f64>,
-    /// Lockstep batch: GEMM packing scratch (managed by
-    /// `gemm_into_scratch`, capacity persists across stages).
-    pub(crate) batch_panel: Vec<f64>,
     /// Buffer preparations served from existing capacity, total.
     reuses_total: u64,
     /// Reuses since the last telemetry report (drained per run).
@@ -136,26 +115,6 @@ impl Workspace {
         reused &= Self::ensure_f64(&mut self.k3, n);
         reused &= Self::ensure_f64(&mut self.k4, n);
         reused &= Self::ensure_f64(&mut self.stage, n);
-        self.note(reused);
-    }
-
-    /// Prepares the lockstep batch buffers for `w` windows of `n` nodes
-    /// (counted as one event, like [`ensure_rk4`](Self::ensure_rk4)).
-    /// The RK4 stage buffers are only touched when the batch will
-    /// integrate with RK4.
-    pub(crate) fn ensure_batch(&mut self, n: usize, w: usize, rk4: bool) {
-        let mut reused = true;
-        reused &= Self::ensure_f64(&mut self.batch_j, n * n);
-        reused &= Self::ensure_f64(&mut self.batch_states, n * w);
-        reused &= Self::ensure_f64(&mut self.batch_js, n * w);
-        reused &= Self::ensure_f64(&mut self.batch_prev, n * w);
-        if rk4 {
-            reused &= Self::ensure_f64(&mut self.batch_k1, n * w);
-            reused &= Self::ensure_f64(&mut self.batch_k2, n * w);
-            reused &= Self::ensure_f64(&mut self.batch_k3, n * w);
-            reused &= Self::ensure_f64(&mut self.batch_k4, n * w);
-            reused &= Self::ensure_f64(&mut self.batch_stage, n * w);
-        }
         self.note(reused);
     }
 }

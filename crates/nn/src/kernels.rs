@@ -480,24 +480,6 @@ fn micro_gemm_ragged<const CHECK: bool>(
 /// (the contract requires `out` zeroed, so register sums starting at
 /// `+0.0` replay the naive accumulation verbatim).
 pub fn gemm_into(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
-    let mut panel = Vec::new();
-    gemm_into_scratch(a, m, k, b, n, out, &mut panel);
-}
-
-/// [`gemm_into`] with a caller-owned packing buffer: `panel` is cleared
-/// and resized as needed, but its capacity persists across calls, so
-/// steady-state callers (the lockstep batched integrator's per-stage
-/// GEMMs) allocate nothing after warm-up. Bit-identical to
-/// [`gemm_into`] — the buffer carries capacity, never values.
-pub fn gemm_into_scratch(
-    a: &[f64],
-    m: usize,
-    k: usize,
-    b: &[f64],
-    n: usize,
-    out: &mut [f64],
-    panel: &mut Vec<f64>,
-) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
@@ -512,8 +494,7 @@ pub fn gemm_into_scratch(
     // on the scalar reference kernels. The scan is one O(m·k) pass
     // against O(m·k·n) multiply work.
     let use_simd = simd_active() && a.iter().all(|v| v.is_finite());
-    panel.clear();
-    panel.resize(k * GEMM_NC.min(n), 0.0);
+    let mut panel = vec![0.0; k * GEMM_NC.min(n)];
     let mut jc = 0;
     while jc < n {
         let ncw = GEMM_NC.min(n - jc);
@@ -693,7 +674,7 @@ fn gemm_t_tiles(
     out: &mut [f64],
     upper_only: bool,
 ) {
-    // Same finite-only SIMD gate as `gemm_into_scratch`: the per-panel
+    // Same finite-only SIMD gate as `gemm_into`: the per-panel
     // scan below covers the packed `B` side, this O(r·m) pass covers
     // `A` (for SYRK the two are the same slice).
     let use_simd = simd_active() && a.iter().all(|v| v.is_finite());

@@ -43,9 +43,9 @@ pub struct ServeConfig {
     /// drills and the degradation test battery).
     pub faults: FaultModel,
     /// Optional hung-anneal watchdog: a worker whose batch has been
-    /// annealing longer than this has its [`CancelToken`]
-    /// (`dsgl_ising::CancelToken`) fired by the supervisor thread. The
-    /// cancelled requests are re-enqueued (up to
+    /// annealing longer than this has its
+    /// [`CancelToken`](dsgl_ising::CancelToken) fired by the supervisor
+    /// thread. The cancelled requests are re-enqueued (up to
     /// [`crash_retries`](Self::crash_retries)) and then served the
     /// persistence fallback. `None` disables the watchdog (and the
     /// per-batch token entirely — zero supervision overhead).

@@ -47,7 +47,7 @@
 //!   [`SpanCollector`](dsgl_core::SpanCollector) and every request
 //!   records a causal span tree — `serve.request` →
 //!   `serve.admission`/`serve.queue_wait` → `serve.batch` →
-//!   `anneal.{strict,adaptive,lockstep}`/`guard.retry`, plus
+//!   `anneal.{strict,adaptive}`/`guard.retry`, plus
 //!   `serve.coalesce` and `serve.fallback` markers — exportable as
 //!   Perfetto-loadable Chrome trace JSON
 //!   ([`ForecastService::chrome_trace`]). Independently, an always-on
@@ -173,7 +173,8 @@ pub mod flight_events {
     /// detail carries the slot and orphaned-request count, the trace id
     /// points at the batch's first request (0 when untraced).
     pub const WORKER_PANIC: &str = "worker.panic";
-    /// A request failed typed ([`ServeError::WorkerCrashed`]) after
+    /// A request failed typed
+    /// ([`ServeError::WorkerCrashed`](crate::ServeError::WorkerCrashed)) after
     /// exhausting the crash-retry budget.
     pub const CRASH_FAILURE: &str = "crash.failure";
     /// The watchdog fired a hung batch's cancel token.

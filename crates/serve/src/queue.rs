@@ -1,8 +1,8 @@
 //! Bounded MPMC request queue with batch-forming pops.
 //!
-//! The admission front-end of the service: producers [`try_push`]
-//! (`BoundedQueue::try_push`) and are rejected immediately when the
-//! queue is full — load is shed at the door instead of growing an
+//! The admission front-end of the service: producers
+//! [`try_push`](BoundedQueue::try_push) and are rejected immediately
+//! when the queue is full — load is shed at the door instead of growing an
 //! unbounded backlog whose tail latency nobody can meet. Consumers
 //! [`pop_batch`](BoundedQueue::pop_batch) up to `max` requests at once,
 //! lingering briefly for stragglers so coalesced batches actually fill

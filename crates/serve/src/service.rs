@@ -328,7 +328,7 @@ impl ForecastService {
     /// [`spawn`](Self::spawn) with a [`SpanCollector`]: every admitted
     /// request records a `serve.request` span tree — `serve.admission`
     /// and `serve.queue_wait` under the root, a `serve.batch` span per
-    /// executed batch, the `anneal.{strict,adaptive,lockstep}` phase and
+    /// executed batch, the `anneal.{strict,adaptive}` phase and
     /// `guard.retry` spans from the kernels underneath, plus
     /// `serve.coalesce` / `serve.fallback` markers. Read the tree back
     /// with [`trace_spans`](Self::trace_spans) or export it via

@@ -109,9 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(stats.coalesced_hits > 0, "hot traffic must coalesce");
 
     // The service records into the forecaster's sink: admission and
-    // batching under `serve.*`, and — whenever a coalesced batch of two
-    // or more strict windows fuses its per-window mat-vecs into one
-    // GEMM — the lockstep integrator under `anneal.lockstep_*`.
+    // batching under `serve.*`, each window's anneal under `anneal.*`.
     use dsgl::serve::instruments;
     let snap = forecaster.telemetry_snapshot();
     println!(
@@ -124,12 +122,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snap.counter(instruments::COALESCED_HITS),
         instruments::REJECTED,
         snap.counter(instruments::REJECTED),
-    );
-    println!(
-        "lockstep: anneal.lockstep_batches={} anneal.lockstep_windows={} anneal.lockstep_retries={}",
-        snap.counter("anneal.lockstep_batches"),
-        snap.counter("anneal.lockstep_windows"),
-        snap.counter("anneal.lockstep_retries"),
     );
     Ok(())
 }
