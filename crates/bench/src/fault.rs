@@ -8,7 +8,8 @@
 //! defective machines (one per test window, sampled deterministically
 //! from the seed) runs guarded inference, and the campaign records the
 //! test RMSE together with how hard the guard had to work (retries,
-//! degraded windows). The result is written as `BENCH_faults.json`.
+//! degraded windows). `tests/bounds.rs` holds the smoke campaign to
+//! [`FaultCampaignReport::smoke_bound`].
 
 use crate::pipeline::{decompose_model, hw_config, prepare, train_dense, Prepared, Scale};
 use dsgl_core::guard::infer_dense_guarded;
@@ -19,8 +20,6 @@ use dsgl_ising::fault::FaultModel;
 use dsgl_ising::AnnealConfig;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::Serialize;
-use std::path::Path;
 
 /// Smoke-mode acceptance bound: at every swept fault rate the guarded
 /// RMSE must stay below `clean_rmse · FACTOR` or the absolute floor,
@@ -29,14 +28,14 @@ use std::path::Path;
 /// noise floor); the factor covers everything else. Calibrated against
 /// the quick-scale covid campaign at seed 7, whose worst point
 /// (stuck_node at a 10% rate) reaches ≈0.31 — a ~1.6× margin under the
-/// floor. The campaign is a pure function of its seed, so a CI breach
+/// floor. The campaign is a pure function of its seed, so a breach
 /// means the guard stopped containing faults, not statistical bad luck.
 pub const SMOKE_RMSE_FACTOR: f64 = 25.0;
 /// Absolute component of the smoke bound, in rail units.
 pub const SMOKE_RMSE_FLOOR: f64 = 0.5;
 
 /// One swept point of one fault class.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPoint {
     /// The swept knob: a per-node/per-coupling fault probability, a
     /// drift σ, or a fraction of dead mesh resources, per class.
@@ -48,12 +47,10 @@ pub struct FaultPoint {
     /// Windows whose result was degraded (sanitised output or
     /// fallback-clamped faulted readouts).
     pub degraded: usize,
-    /// Windows evaluated.
-    pub windows: usize,
 }
 
 /// The sweep of one fault class.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultClassReport {
     /// Fault class name (`stuck_node`, `dead_coupler`, `coupler_drift`,
     /// `dead_pe`, `dead_cu_lane`).
@@ -62,13 +59,9 @@ pub struct FaultClassReport {
     pub points: Vec<FaultPoint>,
 }
 
-/// The full campaign result, serialised to `BENCH_faults.json`.
-#[derive(Debug, Clone, Serialize)]
+/// The full campaign result.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultCampaignReport {
-    /// Dataset the model was trained on.
-    pub dataset: String,
-    /// Master seed of the campaign.
-    pub seed: u64,
     /// Fault-free guarded RMSE (the degradation baseline).
     pub clean_rmse: f64,
     /// One sweep per fault class.
@@ -91,11 +84,9 @@ impl FaultCampaignReport {
     }
 }
 
-/// Campaign sizing.
+/// Campaign sizing. The campaign trains on the `covid` dataset.
 #[derive(Debug, Clone)]
 pub struct FaultCampaignConfig {
-    /// Dataset name (see `dsgl_data::by_name`).
-    pub dataset: String,
     /// Experiment scale (train size, test cap, PE grid).
     pub scale: Scale,
     /// Master seed; the whole campaign is a pure function of it.
@@ -109,25 +100,18 @@ pub struct FaultCampaignConfig {
 }
 
 impl FaultCampaignConfig {
-    /// The default campaign: quick scale, covid, moderate sweeps.
-    pub fn new(dataset: &str, seed: u64) -> Self {
+    /// Smoke sizing: quick scale with 6 test windows, every fault class
+    /// at a few rates.
+    pub fn smoke(seed: u64) -> Self {
+        let mut scale = Scale::quick();
+        scale.test_cap = 6;
         FaultCampaignConfig {
-            dataset: dataset.to_owned(),
-            scale: Scale::quick(),
+            scale,
             seed,
-            rates: vec![0.0, 0.01, 0.02, 0.05, 0.10],
-            drifts: vec![0.0, 0.05, 0.10, 0.20],
+            rates: vec![0.0, 0.05, 0.10],
+            drifts: vec![0.0, 0.10],
             nan_fraction: 0.25,
         }
-    }
-
-    /// CI smoke sizing: fewer windows and sweep points, same classes.
-    pub fn smoke(dataset: &str, seed: u64) -> Self {
-        let mut cfg = Self::new(dataset, seed);
-        cfg.scale.test_cap = 6;
-        cfg.rates = vec![0.0, 0.05, 0.10];
-        cfg.drifts = vec![0.0, 0.10];
-        cfg
     }
 }
 
@@ -177,7 +161,6 @@ fn dense_point(
         rmse: (sse / count.max(1) as f64).sqrt(),
         retries,
         degraded,
-        windows: p.test.len(),
     }
 }
 
@@ -227,7 +210,6 @@ fn mapped_point(
         rmse: (sse / count.max(1) as f64).sqrt(),
         retries: 0,
         degraded,
-        windows: p.test.len(),
     }
 }
 
@@ -251,16 +233,12 @@ fn historical_means(p: &Prepared) -> Vec<f64> {
 
 /// Runs the full campaign: trains the model once, then sweeps every
 /// fault class. Deterministic in the config.
-// Progress markers for the long-running campaign bins; stderr only, so
-// machine-readable stdout/JSON artifacts stay clean.
-#[allow(clippy::print_stderr)]
 pub fn run_campaign(cfg: &FaultCampaignConfig) -> FaultCampaignReport {
-    let p = prepare(&cfg.dataset, &cfg.scale, cfg.seed);
+    let p = prepare("covid", &cfg.scale, cfg.seed);
     let (model, _) = train_dense(&p, &cfg.scale, cfg.seed);
     let guard = GuardedAnneal::new(AnnealConfig::default());
     let nan_fraction = cfg.nan_fraction;
 
-    eprintln!("[fault campaign: {} test windows]", p.test.len());
     let clean = dense_point(&model, &p, &guard, 0.0, cfg.seed, |_, _, _| FaultModel::none());
 
     let stuck = FaultClassReport {
@@ -275,7 +253,6 @@ pub fn run_campaign(cfg: &FaultCampaignConfig) -> FaultCampaignReport {
             })
             .collect(),
     };
-    eprintln!("[fault campaign: stuck_node done]");
     let dead = FaultClassReport {
         class: "dead_coupler".into(),
         points: cfg
@@ -288,7 +265,6 @@ pub fn run_campaign(cfg: &FaultCampaignConfig) -> FaultCampaignReport {
             })
             .collect(),
     };
-    eprintln!("[fault campaign: dead_coupler done]");
     let drift = FaultClassReport {
         class: "coupler_drift".into(),
         points: cfg
@@ -301,7 +277,6 @@ pub fn run_campaign(cfg: &FaultCampaignConfig) -> FaultCampaignReport {
             })
             .collect(),
     };
-    eprintln!("[fault campaign: coupler_drift done]");
 
     // Mesh-level classes on the decomposed machine.
     let d = decompose_model(&model, &p, &cfg.scale, 0.15, PatternKind::DMesh, cfg.seed);
@@ -330,7 +305,6 @@ pub fn run_campaign(cfg: &FaultCampaignConfig) -> FaultCampaignReport {
             })
             .collect(),
     };
-    eprintln!("[fault campaign: dead_pe done]");
     // CU lanes: sever a growing subset of the PE-pair links actually in
     // use (adjacent grid pairs in row-major order).
     let mut pairs: Vec<(usize, usize)> = Vec::new();
@@ -360,25 +334,11 @@ pub fn run_campaign(cfg: &FaultCampaignConfig) -> FaultCampaignReport {
             })
             .collect(),
     };
-    eprintln!("[fault campaign: dead_cu_lane done]");
 
     FaultCampaignReport {
-        dataset: cfg.dataset.clone(),
-        seed: cfg.seed,
         clean_rmse: clean.rmse,
         classes: vec![stuck, dead, drift, dead_pe, dead_lane],
     }
-}
-
-/// Serialises the report to `<dir>/BENCH_faults.json`.
-///
-/// # Errors
-///
-/// Returns I/O errors from directory creation or the file write.
-pub fn write_report(report: &FaultCampaignReport, dir: &Path) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let json = serde_json::to_string_pretty(report).expect("report serialises");
-    std::fs::write(dir.join("BENCH_faults.json"), json)
 }
 
 #[cfg(test)]
@@ -388,7 +348,7 @@ mod tests {
     #[test]
     fn smoke_campaign_is_deterministic_and_bounded() {
         let cfg = {
-            let mut c = FaultCampaignConfig::smoke("covid", 7);
+            let mut c = FaultCampaignConfig::smoke(7);
             // Keep the unit test fast: tiny model, one fault rate.
             c.scale.nodes = 10;
             c.scale.steps = 80;
@@ -399,11 +359,7 @@ mod tests {
         };
         let a = run_campaign(&cfg);
         let b = run_campaign(&cfg);
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "campaign must be a pure function of its config"
-        );
+        assert_eq!(a, b, "campaign must be a pure function of its config");
         assert_eq!(a.classes.len(), 5);
         assert!(a.clean_rmse.is_finite() && a.clean_rmse > 0.0);
         for class in &a.classes {

@@ -2,10 +2,13 @@
 //!
 //! [`pipeline`] holds the shared train → decompose → map → evaluate
 //! machinery every table and figure uses; [`report`] holds text-table
-//! and CSV output helpers. The `experiments` binary (see
+//! and CSV output helpers; [`fault`] sweeps hard-fault rates under
+//! guarded inference. The `experiments` binary (see
 //! `src/bin/experiments.rs`) regenerates each table and figure of the
 //! paper; the Criterion benches in `benches/` time the underlying
-//! kernels and run scaled-down versions of every experiment.
+//! kernels and run scaled-down versions of every experiment; and
+//! `tests/bounds.rs` holds the fault, telemetry, kernel, serving,
+//! supervision and multigrid layers to their workload-scale bounds.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]

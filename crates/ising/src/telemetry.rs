@@ -35,8 +35,8 @@
 //! around pipeline stages.
 //!
 //! A [`MetricsSnapshot`] freezes the registry into a serde-stable,
-//! sorted form for JSON export (`results/BENCH_telemetry.json` in the
-//! bench harness) and renders a human-readable
+//! sorted form for JSON export (`tracing::prometheus_text` renders it
+//! as Prometheus text) and renders a human-readable
 //! [summary table](MetricsSnapshot::summary_table).
 
 use serde::{Deserialize, Serialize};
@@ -423,8 +423,8 @@ impl InstrumentSnapshot {
 ///
 /// The JSON field names of this type and its children are a stable
 /// interface (locked in by `tests/serialization.rs`); downstream
-/// dashboards may parse `results/BENCH_telemetry.json` without tracking
-/// this crate's internals.
+/// dashboards may parse exported snapshots without tracking this
+/// crate's internals.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Snapshot schema version ([`SCHEMA_VERSION`]).

@@ -327,8 +327,8 @@ fn dispatch_micro_tt(_use_simd: bool, pa: &[f64], pb: &[f64], acc: &mut [[f64; 4
 // ---------------------------------------------------------------------------
 // Naive references. These are the semantics; the blocked kernels must
 // match them bit-for-bit (asserted by unit, property, and bench-side
-// parity tests). Public so tests and the gemm_profile bench can time
-// and compare against them.
+// parity tests). Public so tests and benches can time and compare
+// against them.
 // ---------------------------------------------------------------------------
 
 /// Naive `out += A·B` (`A` is `m×k`, `B` is `k×n`), i-k-j loop with the
