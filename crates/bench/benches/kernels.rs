@@ -3,13 +3,12 @@
 //!
 //! Besides the criterion benches, `cargo bench --bench kernels` writes a
 //! machine-readable snapshot to `results/BENCH_kernels.json`:
-//! per-kernel ns/op, a batch-forecast comparison of the strict
-//! fixed-schedule integrator against the event-driven engine (cold and
-//! warm-started) with steps-to-converge and active-set occupancy. Set
+//! per-kernel ns/op, a cold batch-forecast comparison of the strict
+//! fixed-schedule integrator against the event-driven engine with
+//! steps-to-converge and active-set occupancy. Set
 //! `DSGL_BENCH_JSON_ONLY=1` to emit just the snapshot and skip criterion.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use dsgl_core::inference::WarmStart;
 use dsgl_core::ridge::fit_ridge;
 use dsgl_core::{inference, DsGlModel, RunCtx, Threading, VariableLayout};
 use dsgl_data::{covid, WindowConfig};
@@ -223,14 +222,6 @@ struct BatchForecast {
     nodes: usize,
     strict_cold: EngineRun,
     adaptive_cold: EngineRun,
-    adaptive_warm: EngineRun,
-    /// strict mean steps / adaptive-warm mean steps.
-    step_reduction_vs_strict: f64,
-    /// Per-node integrations: strict steps / (warm steps × occupancy).
-    node_update_reduction_vs_strict: f64,
-    wall_time_reduction_vs_strict: f64,
-    /// Largest prediction disagreement, rail units.
-    max_abs_delta_vs_strict: f64,
 }
 
 #[derive(Serialize)]
@@ -304,19 +295,8 @@ fn kernel_entries() -> Vec<KernelEntry> {
     entries
 }
 
-fn forecast_run(
-    model: &DsGlModel,
-    windows: &[dsgl_data::Sample],
-    cfg: &AnnealConfig,
-    warm: WarmStart,
-) -> (EngineRun, Vec<Vec<f64>>) {
-    let run = || {
-        let mut ctx = RunCtx {
-            warm,
-            ..RunCtx::default()
-        };
-        inference::infer_batch(model, windows, cfg, 42, &mut ctx).unwrap()
-    };
+fn forecast_run(model: &DsGlModel, windows: &[dsgl_data::Sample], cfg: &AnnealConfig) -> EngineRun {
+    let run = || inference::infer_batch(model, windows, cfg, 42, &mut RunCtx::default()).unwrap();
     let _ = run();
     let t0 = Instant::now();
     let results = run();
@@ -333,17 +313,13 @@ fn forecast_run(
             cnt += 1;
         }
     }
-    let preds = results.into_iter().map(|(p, _)| p).collect();
-    (
-        EngineRun {
-            wall_ns,
-            mean_steps: steps / n,
-            mean_sparse_steps: sparse_steps / n,
-            mean_active_fraction: frac / n,
-            rmse: (se / cnt as f64).sqrt(),
-        },
-        preds,
-    )
+    EngineRun {
+        wall_ns,
+        mean_steps: steps / n,
+        mean_sparse_steps: sparse_steps / n,
+        mean_active_fraction: frac / n,
+        rmse: (se / cnt as f64).sqrt(),
+    }
 }
 
 /// The shared snapshot workload — same shape as `infer_batch_32w_threads`
@@ -361,8 +337,6 @@ fn bench_workload() -> (DsGlModel, Vec<dsgl_data::Sample>) {
 }
 
 fn batch_forecast_snapshot(model: &DsGlModel, windows: &[dsgl_data::Sample]) -> BatchForecast {
-    let nodes = model.layout().nodes();
-
     // Forecast error (~2e-3 RMSE) is model-dominated, so a 1e-4 rail/ns
     // rate tolerance is ample for this workload; both engines get it.
     let strict_cfg = AnnealConfig {
@@ -380,32 +354,11 @@ fn batch_forecast_snapshot(model: &DsGlModel, windows: &[dsgl_data::Sample]) -> 
         },
         ..strict_cfg
     };
-    let (strict_cold, strict_preds) = forecast_run(model, windows, &strict_cfg, WarmStart::Cold);
-    let (adaptive_cold, _) = forecast_run(model, windows, &adaptive_cfg, WarmStart::Cold);
-    let (adaptive_warm, warm_preds) = forecast_run(
-        model,
-        windows,
-        &adaptive_cfg,
-        WarmStart::Chained { chunk: 16 },
-    );
-
-    let max_abs_delta = strict_preds
-        .iter()
-        .flatten()
-        .zip(warm_preds.iter().flatten())
-        .map(|(s, w)| (s - w).abs())
-        .fold(0.0f64, f64::max);
     BatchForecast {
         windows: windows.len(),
-        nodes,
-        step_reduction_vs_strict: strict_cold.mean_steps / adaptive_warm.mean_steps,
-        node_update_reduction_vs_strict: strict_cold.mean_steps
-            / (adaptive_warm.mean_steps * adaptive_warm.mean_active_fraction),
-        wall_time_reduction_vs_strict: strict_cold.wall_ns / adaptive_warm.wall_ns,
-        max_abs_delta_vs_strict: max_abs_delta,
-        strict_cold,
-        adaptive_cold,
-        adaptive_warm,
+        nodes: model.layout().nodes(),
+        strict_cold: forecast_run(model, windows, &strict_cfg),
+        adaptive_cold: forecast_run(model, windows, &adaptive_cfg),
     }
 }
 

@@ -240,7 +240,7 @@ pub fn imputation_fp_rmse(model: &DsGlModel, samples: &[Sample], observed: &[usi
     let mut sse = 0.0;
     let mut count = 0usize;
     for s in samples {
-        let pred = dsgl_core::inference::infer_fixed_point_imputation(model, s, observed, 150)
+        let pred = dsgl_core::inference::infer_fixed_point(model, s, observed, 150)
             .expect("fixed-point imputation");
         for (i, (&p, &t)) in pred.iter().zip(&s.target).enumerate().take(frame_len) {
             if !observed_set.contains(&i) {
@@ -259,7 +259,7 @@ pub fn fixed_point_rmse(model: &DsGlModel, samples: &[Sample]) -> f64 {
     let mut sse = 0.0;
     let mut count = 0usize;
     for s in samples {
-        let pred = dsgl_core::inference::infer_fixed_point(model, s, 150)
+        let pred = dsgl_core::inference::infer_fixed_point(model, s, &[], 150)
             .expect("fixed-point inference");
         for (p, t) in pred.iter().zip(&s.target) {
             sse += (p - t) * (p - t);

@@ -428,7 +428,7 @@ pub fn infer_dense_guarded<R: Rng + ?Sized>(
     ctx: &mut RunCtx<'_>,
 ) -> Result<(Vec<f64>, AnnealReport, HealthReport), CoreError> {
     ctx.check_scopes(1)?;
-    crate::inference::solve_window(model, sample, guard, ctx, 0, None, rng)
+    crate::inference::solve_window(model, sample, &[], guard, ctx, 0, None, rng)
 }
 
 /// Guarded counterpart of [`crate::inference::infer_batch`] with one
@@ -442,8 +442,7 @@ pub fn infer_dense_guarded<R: Rng + ?Sized>(
 /// running them one at a time, under any [`crate::Threading`] policy.
 /// Master-seeded callers pass [`batch_seeds`](crate::inference::batch_seeds)`(master, n)`,
 /// which reproduces the unguarded batch under `master` bit for bit
-/// wherever the guard never fires. [`WarmStart::Chained`](crate::WarmStart::Chained)
-/// runs cold.
+/// wherever the guard never fires.
 ///
 /// Batches of up to eight windows run on the calling thread with the
 /// caller's pool; larger batches split across the thread pool in fixed
@@ -977,27 +976,6 @@ mod tests {
             .unwrap();
         for ((gp, _, _), (ap, _, _)) in guarded.iter().zip(&again) {
             assert_eq!(gp, ap, "guarded multigrid must be thread-count independent");
-        }
-    }
-
-    #[test]
-    fn guarded_chained_warm_start_is_treated_as_cold() {
-        // Chained warm starts couple windows, which the guarded batch
-        // cannot honour per-window; it must silently run cold rather
-        // than produce order-dependent bits.
-        let (model, windows) = community_setup(32);
-        let cfg = AnnealConfig::default();
-        let guard = GuardedAnneal::new(cfg);
-        let seeds = batch_seeds(17, windows.len());
-        let mut ctx = RunCtx {
-            warm: WarmStart::Chained { chunk: 3 },
-            ..RunCtx::default()
-        };
-        let chained = infer_batch_guarded(&model, &windows, &guard, &seeds, &mut ctx).unwrap();
-        let cold =
-            infer_batch_guarded(&model, &windows, &guard, &seeds, &mut RunCtx::default()).unwrap();
-        for ((cp, _, _), (kp, _, _)) in chained.iter().zip(&cold) {
-            assert_eq!(cp, kp, "chained must degrade to cold in the guarded batch");
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::error::CoreError;
 use crate::metrics::pooled_rmse;
-use crate::model::DsGlModel;
+use crate::model::{DsGlModel, VariableLayout};
 use crate::telemetry::TelemetrySink;
 use crate::tracing::TraceScope;
 use crate::windows::observed_state;
@@ -142,8 +142,7 @@ pub fn machine_for_sample<R: Rng + ?Sized>(
 
 /// Runs one annealed inference on the full (dense or decomposed) model:
 /// clamp history, anneal, read the target block. `ctx` supplies the
-/// telemetry, trace scope, cancel token, faults, warm start and pool;
-/// [`WarmStart::Chained`] has no single-window meaning and runs cold.
+/// telemetry, trace scope, cancel token, faults, warm start and pool.
 ///
 /// Returns the predicted target frame and the annealing report (whose
 /// `sim_time_ns` is the inference latency).
@@ -160,38 +159,7 @@ pub fn infer_dense<R: Rng + ?Sized>(
     rng: &mut R,
     ctx: &mut RunCtx<'_>,
 ) -> Result<(Vec<f64>, AnnealReport), CoreError> {
-    ctx.check_scopes(1)?;
-    let (pred, report, ()) = solve_window(model, sample, config, ctx, 0, None, rng)?;
-    Ok((pred, report))
-}
-
-/// Fixed-point inference without simulating the analog dynamics: damped
-/// iteration of the regression formula over the target block. Fast
-/// surrogate used by parameter sweeps; agrees with annealed inference
-/// when the contraction projection held during training.
-///
-/// # Errors
-///
-/// Returns shape mismatches.
-pub fn infer_fixed_point(
-    model: &DsGlModel,
-    sample: &Sample,
-    iterations: usize,
-) -> Result<Vec<f64>, CoreError> {
-    let layout = model.layout();
-    let mut state = observed_state(&layout, sample)?;
-    let target: Vec<usize> = layout.target_range().collect();
-    for _ in 0..iterations {
-        for &v in &target {
-            let row = model.coupling().row(v);
-            let mut dot = 0.0;
-            for (j, &s) in state.iter().enumerate() {
-                dot += row[j] * s;
-            }
-            state[v] = dot / (-model.h()[v]);
-        }
-    }
-    Ok(state[layout.target_range()].to_vec())
+    infer_dense_imputation(model, sample, &[], config, rng, ctx)
 }
 
 /// Runs one annealed *imputation* inference: besides the history block,
@@ -201,47 +169,40 @@ pub fn infer_fixed_point(
 /// learning — "acquisition of unknown graph node features using observed
 /// node features" — and the regime where coupling the outputs lets
 /// observed nodes inform unobserved ones through the machine's joint
-/// relaxation.
+/// relaxation. With no observed targets it is [`infer_dense`].
 ///
 /// Returns the full predicted target frame (observed entries echo their
 /// clamped values) and the annealing report.
 ///
 /// # Errors
 ///
-/// Returns shape mismatches, invalid parameters, and out-of-range
-/// observed indices.
+/// Returns the errors of [`infer_dense`] and out-of-range observed
+/// indices.
 pub fn infer_dense_imputation<R: Rng + ?Sized>(
     model: &DsGlModel,
     sample: &Sample,
     observed_targets: &[usize],
     config: &AnnealConfig,
     rng: &mut R,
+    ctx: &mut RunCtx<'_>,
 ) -> Result<(Vec<f64>, AnnealReport), CoreError> {
-    let layout = model.layout();
-    let mut dspu = machine_for_sample(model, sample, rng)?;
-    for &t_idx in observed_targets {
-        if t_idx >= layout.target_len() {
-            return Err(CoreError::SampleShapeMismatch {
-                what: "observed target index",
-                expected: layout.target_len(),
-                actual: t_idx,
-            });
-        }
-        let v = layout.history_len() + t_idx;
-        let value = sample.target[t_idx].clamp(-dspu.rail(), dspu.rail());
-        dspu.clamp(v, value)?;
-    }
-    let report = dspu.run(config, rng);
-    Ok((dspu.state()[layout.target_range()].to_vec(), report))
+    ctx.check_scopes(1)?;
+    let (pred, report, ()) =
+        solve_window(model, sample, observed_targets, config, ctx, 0, None, rng)?;
+    Ok((pred, report))
 }
 
-/// Fixed-point imputation (see [`infer_dense_imputation`]): damped
-/// iteration with the observed target entries held at their true values.
+/// Fixed-point inference without simulating the analog dynamics: damped
+/// iteration of the regression formula over the target block, with the
+/// `observed_targets` entries (indices into the target frame) held at
+/// their true values. Fast surrogate used by parameter sweeps; agrees
+/// with annealed inference when the contraction projection held during
+/// training.
 ///
 /// # Errors
 ///
 /// Returns shape mismatches and out-of-range observed indices.
-pub fn infer_fixed_point_imputation(
+pub fn infer_fixed_point(
     model: &DsGlModel,
     sample: &Sample,
     observed_targets: &[usize],
@@ -251,20 +212,13 @@ pub fn infer_fixed_point_imputation(
     let mut state = observed_state(&layout, sample)?;
     let mut held = vec![false; layout.target_len()];
     for &t_idx in observed_targets {
-        if t_idx >= layout.target_len() {
-            return Err(CoreError::SampleShapeMismatch {
-                what: "observed target index",
-                expected: layout.target_len(),
-                actual: t_idx,
-            });
-        }
+        check_target_index(&layout, t_idx)?;
         state[layout.history_len() + t_idx] = sample.target[t_idx];
         held[t_idx] = true;
     }
-    let target: Vec<usize> = layout.target_range().collect();
     for _ in 0..iterations {
-        for (t_idx, &v) in target.iter().enumerate() {
-            if held[t_idx] {
+        for (v, &held) in layout.target_range().zip(&held) {
+            if held {
                 continue;
             }
             let row = model.coupling().row(v);
@@ -276,6 +230,18 @@ pub fn infer_fixed_point_imputation(
         }
     }
     Ok(state[layout.target_range()].to_vec())
+}
+
+/// Rejects a target-frame index past the end of the target block.
+fn check_target_index(layout: &VariableLayout, t_idx: usize) -> Result<(), CoreError> {
+    if t_idx < layout.target_len() {
+        return Ok(());
+    }
+    Err(CoreError::SampleShapeMismatch {
+        what: "observed target index",
+        expected: layout.target_len(),
+        actual: t_idx,
+    })
 }
 
 /// Derives the RNG seed for window `index` of a batch from the batch's
@@ -347,15 +313,18 @@ impl Finish for AnnealConfig {
     }
 }
 
-/// One window end to end: build the machine, attach `ctx`, apply its
-/// multigrid warm start (from the batch-shared `hierarchy`, or a
-/// one-shot build without one), inject its faults, finish, and read the
-/// target block. The warm start runs before fault injection, so a
-/// guard's retry ladder restores the warmed state and stuck nodes
-/// override warm values exactly as they override cold ones.
+/// One window end to end: build the machine, clamp the
+/// `observed_targets` entries of the target frame to their true values,
+/// attach `ctx`, apply its multigrid warm start (from the batch-shared
+/// `hierarchy`, or a one-shot build without one), inject its faults,
+/// finish, and read the target block. The warm start runs before fault
+/// injection, so a guard's retry ladder restores the warmed state and
+/// stuck nodes override warm values exactly as they override cold ones.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_window<F: Finish, R: Rng + ?Sized>(
     model: &DsGlModel,
     sample: &Sample,
+    observed_targets: &[usize],
     fin: &F,
     ctx: &mut RunCtx<'_>,
     window: usize,
@@ -363,7 +332,13 @@ pub(crate) fn solve_window<F: Finish, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Window<F::Extra>, CoreError> {
     let config = fin.config();
+    let layout = model.layout();
     let mut dspu = machine_for_sample(model, sample, rng)?;
+    for &t_idx in observed_targets {
+        check_target_index(&layout, t_idx)?;
+        let value = sample.target[t_idx].clamp(-dspu.rail(), dspu.rail());
+        dspu.clamp(layout.history_len() + t_idx, value)?;
+    }
     ctx.attach(&mut dspu, window);
     let warmed = match ctx.warm {
         WarmStart::Multigrid { levels, coarse_tol } => {
@@ -374,14 +349,14 @@ pub(crate) fn solve_window<F: Finish, R: Rng + ?Sized>(
             }
             .is_some()
         }
-        _ => false,
+        WarmStart::Cold => false,
     };
     dspu.inject_faults(ctx.faults, rng)?;
     let (report, extra) = fin.run(&mut dspu, rng);
     if warmed {
         record_fine_steps_saved(ctx.sink, config, &report);
     }
-    let pred = dspu.state()[model.layout().target_range()].to_vec();
+    let pred = dspu.state()[layout.target_range()].to_vec();
     ctx.pool = Some(dspu.take_workspace());
     Ok((pred, report, extra))
 }
@@ -407,6 +382,13 @@ fn check_batch(samples: &[Sample], seeds: &[u64], ctx: &RunCtx<'_>) -> Result<()
 /// `(model, sample, fin, ctx.faults, ctx.warm, seeds[i])`, so neither
 /// the chunking nor the thread count can change a bit. Multigrid
 /// batches build the Louvain hierarchy once and share it.
+///
+/// Windows run in chunks of `POOL_CHUNK`. A batch of one chunk runs on
+/// the calling thread with the caller's pool; larger batches spread
+/// across the thread pool, chunk 0 adopting the caller's pool and the
+/// others warming up their own. Inside a chunk the workspace migrates
+/// machine to machine, so only its first window pays the stage-buffer
+/// allocations.
 pub(crate) fn drive_batch<F: Finish>(
     model: &DsGlModel,
     samples: &[Sample],
@@ -416,47 +398,32 @@ pub(crate) fn drive_batch<F: Finish>(
 ) -> Result<Vec<Window<F::Extra>>, CoreError> {
     check_batch(samples, seeds, ctx)?;
     let hierarchy = batch_hierarchy(model, samples, ctx.warm, seeds[0]);
-    let out = for_chunks(ctx, model, samples.len(), POOL_CHUNK, |range, ctx| {
+    let n = samples.len();
+    let solve_chunk = |range: Range<usize>, ctx: &mut RunCtx<'_>| -> Vec<_> {
         range
             .map(|i| {
                 let mut rng = window_rng(seeds[i]);
-                solve_window(model, &samples[i], fin, ctx, i, hierarchy.as_ref(), &mut rng)
+                solve_window(model, &samples[i], &[], fin, ctx, i, hierarchy.as_ref(), &mut rng)
             })
             .collect()
-    });
-    out.into_iter().collect()
-}
-
-/// Runs `chunk_fn` over consecutive chunks of `n` windows. A batch of
-/// one chunk runs on the calling thread with the caller's pool; larger
-/// batches spread across the thread pool, chunk 0 adopting the caller's
-/// pool and the others warming up their own. Inside a chunk the
-/// workspace migrates machine to machine, so only its first window pays
-/// the stage-buffer allocations.
-fn for_chunks<T: Send>(
-    ctx: &mut RunCtx<'_>,
-    model: &DsGlModel,
-    n: usize,
-    chunk: usize,
-    chunk_fn: impl Fn(Range<usize>, &mut RunCtx<'_>) -> Vec<T> + Sync,
-) -> Vec<T> {
-    if n <= chunk {
-        return chunk_fn(0..n, ctx);
+    };
+    if n <= POOL_CHUNK {
+        return solve_chunk(0..n, ctx).into_iter().collect();
     }
     let total = model.layout().total();
     // Rough per-window flop count: one matvec per integration step.
-    let work_per_chunk = chunk * total * total * 64;
+    let work_per_chunk = POOL_CHUNK * total * total * 64;
     let first = Mutex::new(ctx.pool.take());
     let shared = &*ctx;
-    let chunks = crate::threading::par_map(n.div_ceil(chunk), work_per_chunk, |c| {
-        let lo = c * chunk;
-        let range = lo..(lo + chunk).min(n);
+    let chunks = dsgl_ising::par::map_indexed(n.div_ceil(POOL_CHUNK), work_per_chunk, |c| {
+        let lo = c * POOL_CHUNK;
+        let range = lo..(lo + POOL_CHUNK).min(n);
         if c > 0 {
-            return chunk_fn(range, &mut RunCtx { pool: None, ..*shared });
+            return solve_chunk(range, &mut RunCtx { pool: None, ..*shared });
         }
         let pool = first.lock().unwrap_or_else(|e| e.into_inner()).take();
         let mut local = RunCtx { pool, ..*shared };
-        let out = chunk_fn(range, &mut local);
+        let out = solve_chunk(range, &mut local);
         *first.lock().unwrap_or_else(|e| e.into_inner()) = local.pool;
         out
     });
@@ -497,11 +464,9 @@ fn batch_hierarchy(
 /// intentionally differ from threading a single shared RNG through
 /// sequential [`infer_dense`] calls.)
 ///
-/// `ctx.warm` picks the start: [`WarmStart::Cold`] windows are
-/// independent, [`WarmStart::Chained`] seeds each window from its
-/// predecessor's equilibrium, [`WarmStart::Multigrid`] warm-starts each
-/// window from a coarsened replica. Wrap the call in
-/// [`crate::Threading::install`] to pin the thread count.
+/// `ctx.warm` picks each window's start: [`WarmStart::Cold`] or a
+/// [`WarmStart::Multigrid`] warm start from a coarsened replica. Wrap
+/// the call in [`crate::Threading::install`] to pin the thread count.
 ///
 /// Returns one `(predicted target frame, anneal report)` per sample, in
 /// sample order.
@@ -546,9 +511,6 @@ pub fn infer_batch(
     ctx: &mut RunCtx<'_>,
 ) -> Result<Vec<(Vec<f64>, AnnealReport)>, CoreError> {
     let seeds = batch_seeds(master_seed, samples.len());
-    if let WarmStart::Chained { chunk } = ctx.warm {
-        return infer_chained(model, samples, config, &seeds, chunk, ctx);
-    }
     let out = drive_batch(model, samples, config, &seeds, ctx)?;
     Ok(out
         .into_iter()
@@ -556,50 +518,8 @@ pub fn infer_batch(
         .collect())
 }
 
-/// The [`WarmStart::Chained`] batch: chunks of `chunk` windows (`0` =
-/// one chunk) run in parallel, and inside a chunk each window's free
-/// block starts from the previous window's equilibrium. The per-window
-/// RNG is consumed exactly as on the cold path, so only the starting
-/// point differs and results depend on `chunk`, never on the thread
-/// count.
-fn infer_chained(
-    model: &DsGlModel,
-    samples: &[Sample],
-    config: &AnnealConfig,
-    seeds: &[u64],
-    chunk: usize,
-    ctx: &mut RunCtx<'_>,
-) -> Result<Vec<(Vec<f64>, AnnealReport)>, CoreError> {
-    check_batch(samples, seeds, ctx)?;
-    let chunk = if chunk == 0 { samples.len() } else { chunk };
-    let target = model.layout().target_range();
-    let out = for_chunks(ctx, model, samples.len(), chunk, |range, ctx| {
-        let mut prev: Option<Vec<f64>> = None;
-        range
-            .map(|i| {
-                let mut rng = window_rng(seeds[i]);
-                let result =
-                    machine_for_sample(model, &samples[i], &mut rng).and_then(|mut dspu| {
-                        ctx.attach(&mut dspu, i);
-                        if let Some(prev) = &prev {
-                            let mut state = dspu.state().to_vec();
-                            state[target.clone()].copy_from_slice(prev);
-                            dspu.set_state(&state)?;
-                        }
-                        dspu.inject_faults(ctx.faults, &mut rng)?;
-                        let report = dspu.run(config, &mut rng);
-                        ctx.pool = Some(dspu.take_workspace());
-                        Ok((dspu.state()[target.clone()].to_vec(), report))
-                    });
-                prev = result.as_ref().ok().map(|(pred, _)| pred.clone());
-                result
-            })
-            .collect()
-    });
-    out.into_iter().collect()
-}
-
-/// How a batch of windows seeds the free block of each machine.
+/// How each window seeds the free block of its machine. Every policy is
+/// a pure function of one window, honoured by every entry point.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum WarmStart {
     /// Every window anneals from a seeded random initialisation.
@@ -607,30 +527,12 @@ pub enum WarmStart {
     /// the bit-exact historical behaviour.
     #[default]
     Cold,
-    /// Windows are grouped into fixed-size chunks; within a chunk each
-    /// window's free block starts from the *previous* window's
-    /// equilibrium. Consecutive temporal windows are highly
-    /// autocorrelated, so the machine starts near its fixed point and
-    /// the integrator takes far fewer steps — especially with the
-    /// event-driven [`dsgl_ising::EngineMode::Adaptive`] engine, whose
-    /// active set is nearly empty from the first step. Chunks are
-    /// processed in parallel and chained sequentially inside, so the
-    /// results depend only on `(samples, config, master_seed, chunk)`,
-    /// never on the thread count. Unguarded batches only: single
-    /// windows and guarded batches run cold, since chaining would let
-    /// one window's degraded equilibrium seed the next.
-    Chained {
-        /// Windows per chain (the first of each chunk starts cold).
-        /// `0` is treated as one chunk spanning the whole batch.
-        chunk: usize,
-    },
     /// Every window anneals from a multigrid warm start: a
     /// Louvain-coarsened replica of the machine (one node per community
     /// of the free subgraph) is annealed cheaply and its equilibrium
     /// prolonged onto the fine free block before the fine anneal (see
-    /// [`dsgl_ising::multigrid`]). Windows stay fully independent —
-    /// unlike [`WarmStart::Chained`] there is no cross-window coupling,
-    /// so this policy composes with request coalescing and batch
+    /// [`dsgl_ising::multigrid`]). Windows stay fully independent, so
+    /// this policy composes with request coalescing and batch
     /// regrouping without changing a bit. The warm start is a pure
     /// function of the machine; when coarsening is not applicable
     /// (small or structureless free subgraph) a window silently falls
@@ -810,7 +712,7 @@ pub(crate) mod tests {
         let cfg = AnnealConfig::default();
         let (annealed, _) =
             infer_dense(&model, &samples[1], &cfg, &mut rng, &mut RunCtx::default()).unwrap();
-        let fp = infer_fixed_point(&model, &samples[1], 200).unwrap();
+        let fp = infer_fixed_point(&model, &samples[1], &[], 200).unwrap();
         for (a, f) in annealed.iter().zip(&fp) {
             assert!((a - f).abs() < 5e-3, "annealed {a} vs fixed point {f}");
         }
@@ -876,70 +778,6 @@ pub(crate) mod tests {
             infer_batch(&model, &[], &AnnealConfig::default(), 0, &mut RunCtx::default()),
             Err(CoreError::EmptyTrainingSet)
         ));
-    }
-
-    #[test]
-    fn warm_batch_matches_cold_within_tolerance_and_saves_steps() {
-        let (model, samples) = trained_model(9);
-        let cfg = AnnealConfig::default();
-        let cold = warm_batch(&model, &samples[..12], &cfg, 3, WarmStart::Cold).unwrap();
-        let warm =
-            warm_batch(&model, &samples[..12], &cfg, 3, WarmStart::Chained { chunk: 6 }).unwrap();
-        let cold_steps: usize = cold.iter().map(|(_, r)| r.steps).sum();
-        let warm_steps: usize = warm.iter().map(|(_, r)| r.steps).sum();
-        for ((pc, _), (pw, rw)) in cold.iter().zip(&warm) {
-            assert!(rw.converged);
-            let diff = crate::metrics::rmse(pc, pw);
-            assert!(diff < 1e-3, "warm vs cold prediction diff {diff}");
-        }
-        assert!(
-            warm_steps < cold_steps,
-            "warm start should save steps: {warm_steps} vs {cold_steps}"
-        );
-        // First window of each chunk starts cold, so it matches exactly.
-        assert_eq!(cold[0].0, warm[0].0);
-        assert_eq!(cold[6].0, warm[6].0);
-    }
-
-    #[test]
-    fn warm_batch_deterministic_across_thread_counts() {
-        let (model, samples) = trained_model(10);
-        let cfg = AnnealConfig::default();
-        let warm = WarmStart::Chained { chunk: 4 };
-        let par = warm_batch(&model, &samples[..10], &cfg, 5, warm).unwrap();
-        let ser = crate::Threading::Sequential
-            .install(|| warm_batch(&model, &samples[..10], &cfg, 5, warm))
-            .unwrap();
-        for ((pp, rp), (ps, rs)) in par.iter().zip(&ser) {
-            assert_eq!(pp, ps, "warm batch must be thread-count independent");
-            assert_eq!(rp.steps, rs.steps);
-        }
-    }
-
-    #[test]
-    fn warm_chunk_zero_means_one_chain() {
-        let (model, samples) = trained_model(11);
-        let (cfg, six) = (AnnealConfig::default(), &samples[..6]);
-        let chain = |chunk| warm_batch(&model, six, &cfg, 2, WarmStart::Chained { chunk });
-        let (a, b) = (chain(0).unwrap(), chain(6).unwrap());
-        for ((pa, _), (pb, _)) in a.iter().zip(&b) {
-            assert_eq!(pa, pb);
-        }
-    }
-
-    #[test]
-    fn warm_evaluate_close_to_cold() {
-        let (model, samples) = trained_model(12);
-        let cfg = AnnealConfig::default();
-        let cold = evaluate_batch(&model, &samples[..10], &cfg, 4, &mut RunCtx::default()).unwrap();
-        let mut ctx = RunCtx {
-            warm: WarmStart::Chained { chunk: 5 },
-            ..RunCtx::default()
-        };
-        let warm = evaluate_batch(&model, &samples[..10], &cfg, 4, &mut ctx).unwrap();
-        assert_eq!(warm.samples, 10);
-        assert!((warm.rmse - cold.rmse).abs() < 1e-3);
-        assert!(warm.converged_fraction > 0.9);
     }
 
     /// Hand-built community model: 48 free targets in three blocks of
@@ -1110,6 +948,45 @@ pub(crate) mod tests {
         for ((pi, _), (pp, _)) in mg.iter().zip(&plain) {
             assert_eq!(pi, pp, "telemetry must not change inference bits");
         }
+    }
+
+    #[test]
+    fn warm_batch_deterministic_across_thread_counts() {
+        // The event-driven engine under a multigrid warm start: the
+        // adaptive active set and the coarse solve must both stay
+        // thread-count independent.
+        let (model, samples) = community_model(24);
+        let cfg = AnnealConfig::adaptive();
+        let warm = WarmStart::Multigrid {
+            levels: 1,
+            coarse_tol: 1e-3,
+        };
+        let par = warm_batch(&model, &samples, &cfg, 5, warm).unwrap();
+        let ser = crate::Threading::Sequential
+            .install(|| warm_batch(&model, &samples, &cfg, 5, warm))
+            .unwrap();
+        for ((pp, rp), (ps, rs)) in par.iter().zip(&ser) {
+            assert_eq!(pp, ps, "warm batch must be thread-count independent");
+            assert_eq!(rp.steps, rs.steps);
+        }
+    }
+
+    #[test]
+    fn warm_evaluate_close_to_cold() {
+        let (model, samples) = community_model(25);
+        let cfg = AnnealConfig::default();
+        let cold = evaluate_batch(&model, &samples, &cfg, 4, &mut RunCtx::default()).unwrap();
+        let mut ctx = RunCtx {
+            warm: WarmStart::Multigrid {
+                levels: 1,
+                coarse_tol: 1e-3,
+            },
+            ..RunCtx::default()
+        };
+        let warm = evaluate_batch(&model, &samples, &cfg, 4, &mut ctx).unwrap();
+        assert_eq!(warm.samples, samples.len());
+        assert!((warm.rmse - cold.rmse).abs() < 1e-3);
+        assert!(warm.converged_fraction > 0.9);
     }
 
     #[test]

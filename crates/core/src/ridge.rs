@@ -132,7 +132,7 @@ pub fn fit_ridge_instrumented(
     let solved: Vec<(usize, Vec<f64>)> = {
         let model_ref: &DsGlModel = model;
         let targets_idx: Vec<usize> = layout.target_range().collect();
-        crate::threading::par_map(targets_idx.len(), hist * hist, |t_idx| {
+        dsgl_ising::par::map_indexed(targets_idx.len(), hist * hist, |t_idx| {
             let v = targets_idx[t_idx];
             let q = -model_ref.h()[v];
             let b: Vec<f64> = (0..hist)
@@ -217,7 +217,7 @@ pub fn refit_ridge_masked_instrumented(
     let solved: Vec<(usize, Vec<usize>, Vec<f64>)> = {
         let model_ref: &DsGlModel = model;
         let targets_idx: Vec<usize> = layout.target_range().collect();
-        crate::threading::par_map(targets_idx.len(), total * total, |t_idx| {
+        dsgl_ising::par::map_indexed(targets_idx.len(), total * total, |t_idx| {
             let v = targets_idx[t_idx];
             // Support: currently coupled variables. Target–target pairs
             // are owned by the lower-indexed row to preserve symmetry.
@@ -283,7 +283,7 @@ pub fn refit_ridge_masked_instrumented(
 /// machine's time constants in the same regime as stage 1).
 ///
 /// Call once, directly after [`fit_ridge`]; gate on a validation set
-/// with [`crate::inference::infer_fixed_point_imputation`].
+/// with [`crate::inference::infer_fixed_point`].
 ///
 /// # Errors
 ///
@@ -633,8 +633,8 @@ mod residual_tests {
         let mut stage2 = stage1.clone();
         fit_gaussian_couplings(&mut stage2, &samples, 0.3, 2.0).unwrap();
         for s in &samples[..5] {
-            let p1 = infer_fixed_point(&stage1, s, 400).unwrap();
-            let p2 = infer_fixed_point(&stage2, s, 400).unwrap();
+            let p1 = infer_fixed_point(&stage1, s, &[], 400).unwrap();
+            let p2 = infer_fixed_point(&stage2, s, &[], 400).unwrap();
             let diff = crate::metrics::rmse(&p1, &p2);
             assert!(diff < 1e-6, "forecasting fixed points diverged: {diff}");
         }
@@ -660,10 +660,7 @@ mod residual_tests {
             let mut sse = 0.0;
             let mut count = 0;
             for s in &test {
-                let pred = crate::inference::infer_fixed_point_imputation(
-                    model, s, &observed, 200,
-                )
-                .unwrap();
+                let pred = crate::inference::infer_fixed_point(model, s, &observed, 200).unwrap();
                 for &i in &hidden {
                     sse += (pred[i] - s.target[i]) * (pred[i] - s.target[i]);
                     count += 1;
@@ -746,7 +743,7 @@ mod horizon_tests {
         let rmse = Trainer::regression_rmse(&model, &samples).unwrap();
         assert!(rmse < 1e-6, "two-step fit rmse {rmse}");
         // Both horizon frames recovered through joint annealing.
-        let pred = infer_fixed_point(&model, &samples[0], 100).unwrap();
+        let pred = infer_fixed_point(&model, &samples[0], &[], 100).unwrap();
         for i in 0..n {
             assert!((pred[i] - samples[0].target[i]).abs() < 1e-6);
             assert!((pred[n + i] - samples[0].target[n + i]).abs() < 1e-6);

@@ -78,55 +78,9 @@ impl Threading {
     }
 }
 
-/// Minimum estimated flop count before forking threads is worth the
-/// spawn cost (mirrors the threshold used by the annealing kernels).
-#[cfg(feature = "parallel")]
-pub(crate) const PAR_MIN_WORK: usize = 1 << 20;
-
-/// Maps `f` over `0..len`, collecting results in index order.
-///
-/// Splits across threads when the `parallel` feature is enabled and
-/// `len * work_per_item` is large enough; each item is produced by an
-/// independent closure call, so the output is bit-identical to the
-/// serial loop regardless of thread count.
-#[cfg(feature = "parallel")]
-pub(crate) fn par_map<T, F>(len: usize, work_per_item: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    use rayon::prelude::*;
-    let total_work = len.saturating_mul(work_per_item.max(1));
-    if total_work < PAR_MIN_WORK || rayon::current_num_threads() <= 1 {
-        return (0..len).map(f).collect();
-    }
-    (0..len).into_par_iter().map(f).collect()
-}
-
-/// Serial fallback when the `parallel` feature is disabled.
-#[cfg(not(feature = "parallel"))]
-pub(crate) fn par_map<T, F>(len: usize, _work_per_item: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    (0..len).map(f).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_map_preserves_order() {
-        let small = par_map(17, 1, |i| i * 3);
-        assert_eq!(small, (0..17).map(|i| i * 3).collect::<Vec<_>>());
-        let big = par_map(4096, 4096, |i| (i as f64).sin().to_bits());
-        assert_eq!(
-            big,
-            (0..4096).map(|i| (i as f64).sin().to_bits()).collect::<Vec<_>>()
-        );
-    }
 
     #[test]
     fn install_runs_closure_under_every_policy() {

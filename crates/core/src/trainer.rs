@@ -250,7 +250,7 @@ impl Trainer {
                 // Threading policies and the serial build.
                 let parts: Vec<(Vec<f64>, f64, f64)> = {
                     let model_ref: &DsGlModel = model;
-                    crate::threading::par_map(target.len(), batch.len() * n, |ti| {
+                    dsgl_ising::par::map_indexed(target.len(), batch.len() * n, |ti| {
                         let v = target[ti];
                         let q = -model_ref.h()[v];
                         let row = model_ref.coupling().row(v);

@@ -143,9 +143,8 @@ fn batch_inference_is_bit_identical_across_policies() {
 
 #[test]
 fn warm_adaptive_batch_is_bit_identical_across_policies() {
-    // The event-driven engine plus chained warm starts: chunks are
-    // chained sequentially inside and parallel across, so the policy
-    // still must not change a single output bit.
+    // The event-driven engine: its data-dependent active set must not
+    // let the threading policy change a single output bit either.
     let samples = linear_samples(2, 50, 40, 5);
     let layout = VariableLayout::new(2, 50, 1);
     let mut model = DsGlModel::new(layout);
@@ -155,14 +154,9 @@ fn warm_adaptive_batch_is_bit_identical_across_policies() {
         mode: EngineMode::adaptive(),
         ..AnnealConfig::default()
     };
-    let warm = WarmStart::Chained { chunk: 3 };
     let infer_under = |policy: Threading| -> Vec<u64> {
-        let mut ctx = RunCtx {
-            warm,
-            ..RunCtx::default()
-        };
         policy
-            .install(|| inference::infer_batch(&model, windows, &cfg, 31, &mut ctx))
+            .install(|| inference::infer_batch(&model, windows, &cfg, 31, &mut RunCtx::default()))
             .unwrap()
             .into_iter()
             .flat_map(|(pred, _)| pred.into_iter().map(|v| v.to_bits()))

@@ -169,6 +169,30 @@ fn dense_plain() {
     check("dense_plain", plain(&[(p, r)]), 0xda00_cae4_8880_a2c2);
 }
 
+/// Two target entries clamped to their true values, the rest annealed
+/// under noise; captured from the imputation entry point while it still
+/// built its own machine outside the shared window solver.
+#[test]
+fn dense_imputation() {
+    let (model, windows) = dense_model();
+    let sample = Sample {
+        target: (0..6).map(|i| 0.1 * i as f64 - 0.25).collect(),
+        ..windows[2].clone()
+    };
+    let mut rng = StdRng::seed_from_u64(16);
+    let (p, r) = inference::infer_dense_imputation(
+        &model,
+        &sample,
+        &[1, 4],
+        &noisy(),
+        &mut rng,
+        &mut RunCtx::default(),
+    )
+    .unwrap();
+    assert_eq!((p[1], p[4]), (sample.target[1], sample.target[4]));
+    check("dense_imputation", plain(&[(p, r)]), 0x5ffe_1f8c_6f09_95f0);
+}
+
 #[test]
 fn dense_guarded_stuck_node() {
     let (model, windows) = dense_model();
@@ -199,19 +223,18 @@ fn batch_cold() {
     check("batch_cold", plain(&out), 0x0e1c_8342_52ee_94d1);
 }
 
+/// The event-driven engine over a cold batch, captured before the
+/// chained warm start (this engine's only golden until then) was
+/// removed.
 #[test]
-fn batch_chained() {
+fn batch_adaptive_cold() {
     let (model, windows) = dense_model();
     let cfg = AnnealConfig {
         mode: EngineMode::adaptive(),
         ..AnnealConfig::default()
     };
-    let mut ctx = RunCtx {
-        warm: WarmStart::Chained { chunk: 5 },
-        ..RunCtx::default()
-    };
-    let out = inference::infer_batch(&model, &windows, &cfg, 12, &mut ctx).unwrap();
-    check("batch_chained", plain(&out), 0xa828_18e2_2398_808b);
+    let out = inference::infer_batch(&model, &windows, &cfg, 12, &mut RunCtx::default()).unwrap();
+    check("batch_adaptive_cold", plain(&out), 0x3b3a_0021_132d_90d0);
 }
 
 #[test]

@@ -3,10 +3,9 @@
 //! zero-diagonal `J`, strictly negative `h`) and its annealed state must
 //! agree with the analytic fixed point of the programmed dynamics.
 
-use dsgl_core::inference::WarmStart;
 use dsgl_core::ridge::fit_ridge;
 use dsgl_core::{
-    inference, DsGlModel, GuardedAnneal, RunCtx, Threading, TrainConfig, Trainer, VariableLayout,
+    inference, DsGlModel, GuardedAnneal, Threading, TrainConfig, Trainer, VariableLayout,
 };
 use dsgl_data::Sample;
 use dsgl_ising::{AnnealConfig, EngineMode};
@@ -180,37 +179,6 @@ proptest! {
                 guard_rng.random::<u64>(),
                 "guard consumed RNG on a healthy run"
             );
-        }
-    }
-
-    #[test]
-    fn warm_started_batch_matches_cold_start(
-        n_nodes in 3usize..7,
-        seed in 0u64..1000,
-        chunk in 2usize..6,
-    ) {
-        let samples = random_samples(n_nodes, 52, seed, 0.5);
-        let layout = VariableLayout::new(1, n_nodes, 1);
-        let mut model = DsGlModel::new(layout);
-        fit_ridge(&mut model, &samples[..40], 1e-6).unwrap();
-        let cfg = AnnealConfig {
-            tolerance: 1e-9,
-            max_time_ns: 20_000.0,
-            ..AnnealConfig::default()
-        };
-        let windows = &samples[40..];
-        let cold = inference::infer_batch(&model, windows, &cfg, seed, &mut RunCtx::default())
-            .unwrap();
-        let mut ctx = RunCtx { warm: WarmStart::Chained { chunk }, ..RunCtx::default() };
-        let warm = inference::infer_batch(&model, windows, &cfg, seed, &mut ctx).unwrap();
-        for (i, ((pc, _), (pw, rw))) in cold.iter().zip(&warm).enumerate() {
-            prop_assert!(rw.converged, "warm window {} did not converge", i);
-            for (c, w) in pc.iter().zip(pw) {
-                prop_assert!(
-                    (c - w).abs() < 1e-6,
-                    "window {}: cold {} vs warm {}", i, c, w
-                );
-            }
         }
     }
 }

@@ -345,6 +345,36 @@ impl MappedMachine {
     /// Loads a sample: history variables clamped, target variables
     /// randomised near zero.
     pub fn load_sample<R: Rng + ?Sized>(&mut self, sample: &Sample, rng: &mut R) -> Result<(), CoreError> {
+        self.load(sample, &[], rng)
+    }
+
+    /// Loads a sample in imputation mode: history variables *and* the
+    /// listed target-frame entries are clamped to their true values;
+    /// only the remaining targets anneal (paper: acquiring unknown node
+    /// features from observed ones).
+    ///
+    /// # Errors
+    ///
+    /// Returns shape mismatches and out-of-range observed indices.
+    pub fn load_sample_imputation<R: Rng + ?Sized>(
+        &mut self,
+        sample: &Sample,
+        observed_targets: &[usize],
+        rng: &mut R,
+    ) -> Result<(), CoreError> {
+        self.load(sample, observed_targets, rng)
+    }
+
+    /// The one loader: clamps history and the observed targets,
+    /// randomises the rest of the target block, pins faulted nodes,
+    /// and primes the sync snapshot and every sample-and-hold buffer
+    /// from the loaded state.
+    fn load<R: Rng + ?Sized>(
+        &mut self,
+        sample: &Sample,
+        observed_targets: &[usize],
+        rng: &mut R,
+    ) -> Result<(), CoreError> {
         if sample.history.len() != self.history_len
             || sample.target.len() != self.target_range.len()
         {
@@ -362,9 +392,21 @@ impl MappedMachine {
             self.state[v] = (rng.random::<f64>() - 0.5) * 0.2 * self.rail;
             self.free[v] = true;
         }
+        let frame_len = self.target_range.len();
+        for &t_idx in observed_targets {
+            if t_idx >= frame_len {
+                return Err(CoreError::SampleShapeMismatch {
+                    what: "observed target index",
+                    expected: frame_len,
+                    actual: t_idx,
+                });
+            }
+            let v = self.history_len + t_idx;
+            self.state[v] = sample.target[t_idx].clamp(-self.rail, self.rail);
+            self.free[v] = false;
+        }
         self.pin_faulted();
         self.snapshot.copy_from_slice(&self.state);
-        // Prime the sample-and-hold buffers with the loaded state.
         for (li, link) in self.links.iter().enumerate() {
             for (slice, helds) in link.slices.iter().zip(self.held[li].iter_mut()) {
                 for (c, h) in slice.iter().zip(helds.iter_mut()) {
@@ -448,47 +490,6 @@ impl MappedMachine {
             }
             self.state[i] = next.clamp(-self.rail, self.rail);
         }
-    }
-
-    /// Loads a sample in imputation mode: history variables *and* the
-    /// listed target-frame entries are clamped to their true values;
-    /// only the remaining targets anneal (paper: acquiring unknown node
-    /// features from observed ones).
-    ///
-    /// # Errors
-    ///
-    /// Returns shape mismatches and out-of-range observed indices.
-    pub fn load_sample_imputation<R: Rng + ?Sized>(
-        &mut self,
-        sample: &Sample,
-        observed_targets: &[usize],
-        rng: &mut R,
-    ) -> Result<(), CoreError> {
-        self.load_sample(sample, rng)?;
-        let frame_len = self.target_range.len();
-        for &t_idx in observed_targets {
-            if t_idx >= frame_len {
-                return Err(CoreError::SampleShapeMismatch {
-                    what: "observed target index",
-                    expected: frame_len,
-                    actual: t_idx,
-                });
-            }
-            let v = self.history_len + t_idx;
-            self.state[v] = sample.target[t_idx].clamp(-self.rail, self.rail);
-            self.free[v] = false;
-        }
-        self.pin_faulted();
-        self.snapshot.copy_from_slice(&self.state);
-        for (li, link) in self.links.iter().enumerate() {
-            for (slice, helds) in link.slices.iter().zip(self.held[li].iter_mut()) {
-                for (c, h) in slice.iter().zip(helds.iter_mut()) {
-                    h.0 = self.snapshot[c.var_b];
-                    h.1 = self.snapshot[c.var_a];
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Runs co-annealing under `config`, returning the report.
@@ -782,7 +783,7 @@ mod tests {
         let hw = HwConfig::default().with_sync_interval(10.0);
         let (pred, report) = infer_mapped(&d, &samples[0], &hw, &mut rng).unwrap();
         assert!(report.anneal.converged, "did not converge: {report:?}");
-        let fp = infer_fixed_point(&d.model, &samples[0], 300).unwrap();
+        let fp = infer_fixed_point(&d.model, &samples[0], &[], 300).unwrap();
         let diff = rmse(&pred, &fp);
         assert!(diff < 0.02, "mapped vs fixed point rmse {diff}");
     }

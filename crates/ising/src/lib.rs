@@ -63,7 +63,8 @@ pub mod fault;
 pub mod hamiltonian;
 pub mod multigrid;
 pub mod noise;
-pub(crate) mod par;
+#[doc(hidden)]
+pub mod par;
 pub mod sparse;
 pub mod telemetry;
 pub mod trace;

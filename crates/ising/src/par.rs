@@ -1,6 +1,6 @@
 //! Row-parallel kernel dispatch.
 //!
-//! Every parallel kernel in this crate funnels through [`fill_rows`]:
+//! Every parallel kernel in this crate funnels through `fill_rows`:
 //! output element `i` is produced by an independent closure call `f(i)`,
 //! and the parallel path only changes *which thread* evaluates each row,
 //! never the order of floating-point operations inside a row. Results
@@ -48,11 +48,12 @@ where
 /// threads when the `parallel` feature is enabled and the estimated
 /// work (`len * work_per_item`) is large enough. Order-preserving, so
 /// results are position-identical to the serial build. Unlike
-/// [`fill_rows`] the item type is generic — used by kernels that
+/// `fill_rows` the item type is generic — used by kernels that
 /// produce a buffer per item and scatter afterwards (the crate forbids
-/// unsafe code, so disjoint parallel scatter is not an option).
+/// unsafe code, so disjoint parallel scatter is not an option) and by
+/// `dsgl-core`'s training and batch-inference loops.
 #[cfg(feature = "parallel")]
-pub(crate) fn map_indexed<T, F>(len: usize, work_per_item: usize, f: F) -> Vec<T>
+pub fn map_indexed<T, F>(len: usize, work_per_item: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -65,12 +66,9 @@ where
     (0..len).into_par_iter().map(f).collect()
 }
 
-/// Serial fallback when the `parallel` feature is disabled. Only the
-/// parallel tile path calls this from the library, so the serial build
-/// keeps it for the shared unit test alone.
+/// Serial fallback when the `parallel` feature is disabled.
 #[cfg(not(feature = "parallel"))]
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn map_indexed<T, F>(len: usize, _work_per_item: usize, f: F) -> Vec<T>
+pub fn map_indexed<T, F>(len: usize, _work_per_item: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

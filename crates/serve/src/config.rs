@@ -76,9 +76,7 @@ pub struct ServeConfig {
     /// Louvain-coarsened coarse solve; because the warm start is a pure
     /// per-window function of the machine (internally seeded, zero
     /// caller-RNG draws), request coalescing and batch regrouping remain
-    /// bit-invisible. [`WarmStart::Chained`] couples windows *within a
-    /// batch*, which would make forecasts depend on how requests
-    /// happened to coalesce — [`validate`](Self::validate) rejects it.
+    /// bit-invisible.
     pub warm_start: WarmStart,
 }
 
@@ -168,8 +166,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the per-window warm-start policy ([`WarmStart::Chained`] is
-    /// rejected by [`validate`](Self::validate) — see the field docs).
+    /// Sets the per-window warm-start policy (see the field docs).
     pub fn warm_start(mut self, warm: WarmStart) -> Self {
         self.warm_start = warm;
         self
@@ -219,13 +216,6 @@ impl ServeConfig {
         if self.chaos.hang_on_seed.is_some() && self.watchdog.is_none() {
             return Err(ServeError::InvalidConfig {
                 reason: "hang chaos requires a watchdog (nothing else can unwedge the worker)"
-                    .to_owned(),
-            });
-        }
-        if let WarmStart::Chained { .. } = self.warm_start {
-            return Err(ServeError::InvalidConfig {
-                reason: "chained warm starts couple windows within a coalesced batch, making \
-                         forecasts depend on request grouping; use Cold or Multigrid"
                     .to_owned(),
             });
         }
@@ -416,12 +406,6 @@ mod tests {
                 coarse_tol: 1e-3
             }
         );
-        // Chained couples windows across the coalescing boundary.
-        let cfg = ServeConfig::default().warm_start(WarmStart::Chained { chunk: 4 });
-        assert!(matches!(
-            cfg.validate(),
-            Err(ServeError::InvalidConfig { .. })
-        ));
         // Degenerate coarse tolerances are caught at config time.
         for tol in [0.0, -1.0, f64::NAN] {
             let cfg = ServeConfig::default().multigrid(1, tol);

@@ -15,7 +15,7 @@
 
 use dsgl::core::inference::infer_dense_imputation;
 use dsgl::core::ridge::{fit_gaussian_couplings, fit_ridge_validated};
-use dsgl::core::{DsGlModel, VariableLayout};
+use dsgl::core::{DsGlModel, RunCtx, VariableLayout};
 use dsgl::data::{stock, WindowConfig};
 use dsgl::ising::AnnealConfig;
 use rand::SeedableRng;
@@ -46,8 +46,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut sse = 0.0;
         let mut count = 0;
         for s in &test[..test.len().min(25)] {
-            let (pred, _) =
-                infer_dense_imputation(model, s, &observed, &AnnealConfig::default(), &mut rng)?;
+            let (pred, _) = infer_dense_imputation(
+                model,
+                s,
+                &observed,
+                &AnnealConfig::default(),
+                &mut rng,
+                &mut RunCtx::default(),
+            )?;
             for &i in &hidden {
                 sse += (pred[i] - s.target[i]) * (pred[i] - s.target[i]);
                 count += 1;

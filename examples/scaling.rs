@@ -4,7 +4,7 @@
 //! (strong intra-block couplings, weak bridges between blocks), then
 //! anneals a batch of forecast windows under two [`WarmStart`] policies:
 //!
-//! * **chained** — each window starts from the previous equilibrium;
+//! * **cold** — each window starts from a seeded random state;
 //! * **multigrid** — each window starts from the prolonged equilibrium
 //!   of a Louvain-coarsened replica (one coarse node per community),
 //!   with the hierarchy built once per batch and shared across windows.
@@ -86,16 +86,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let t0 = Instant::now();
-    let mut ctx = RunCtx {
-        warm: WarmStart::Chained { chunk: 0 },
-        ..RunCtx::default()
-    };
-    let chained = infer_batch(&model, &samples, &cfg, 7, &mut ctx)?;
-    let chained_wall = t0.elapsed();
-    let chained_steps: usize = chained.iter().map(|(_, r)| r.steps).sum();
+    let cold = infer_batch(&model, &samples, &cfg, 7, &mut RunCtx::default())?;
+    let cold_wall = t0.elapsed();
+    let cold_steps: usize = cold.iter().map(|(_, r)| r.steps).sum();
     println!(
-        "chained  : {chained_steps:>6} fine steps, {:.1} ms",
-        chained_wall.as_secs_f64() * 1e3
+        "cold     : {cold_steps:>6} fine steps, {:.1} ms",
+        cold_wall.as_secs_f64() * 1e3
     );
 
     let sink = TelemetrySink::enabled();
@@ -117,14 +113,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Same equilibria, fewer steps.
-    let max_diff = chained
+    let max_diff = cold
         .iter()
         .zip(&mg)
         .flat_map(|((a, _), (b, _))| a.iter().zip(b).map(|(x, y)| (x - y).abs()))
         .fold(0.0f64, f64::max);
     println!("max prediction difference: {max_diff:.2e}");
     assert!(max_diff < 5e-3, "policies must agree on the fixed point");
-    assert!(mg_steps < chained_steps, "multigrid must save fine steps");
+    assert!(mg_steps < cold_steps, "multigrid must save fine steps");
 
     // The mg.* family records what the warm starts did.
     let snap = sink.snapshot();

@@ -125,11 +125,10 @@ impl ForecasterBuilder {
         self
     }
 
-    /// How [`Forecaster::forecast_batch`] seeds consecutive windows
-    /// (default [`WarmStart::Cold`] — independent windows, the bit-exact
-    /// historical behaviour). [`WarmStart::Chained`] starts each window
-    /// from the previous window's equilibrium, collapsing
-    /// steps-to-converge on autocorrelated series.
+    /// How every inference through the fitted [`Forecaster`] seeds each
+    /// window's free block (default [`WarmStart::Cold`], the bit-exact
+    /// historical behaviour). The policy is a pure function of one
+    /// window, so forecasts, batches and imputations all honour it.
     pub fn warm_start(mut self, warm: WarmStart) -> Self {
         self.warm_start = warm;
         self
@@ -283,10 +282,12 @@ impl Forecaster {
         self.telemetry.snapshot()
     }
 
-    /// A run context reporting into this forecaster's telemetry sink.
+    /// A run context reporting into this forecaster's telemetry sink and
+    /// starting every window under the builder's warm start.
     fn ctx(&self) -> RunCtx<'_> {
         RunCtx {
             sink: &self.telemetry,
+            warm: self.warm_start,
             ..RunCtx::default()
         }
     }
@@ -342,10 +343,7 @@ impl Forecaster {
     /// `master_seed` and its index, so the output is reproducible and
     /// bit-identical across thread counts (see
     /// [`dsgl_core::inference::infer_batch`]). Predictions are returned
-    /// in window order. With
-    /// [`warm_start`](ForecasterBuilder::warm_start) set to
-    /// [`WarmStart::Chained`], consecutive windows seed each other's
-    /// equilibria (still deterministic for a fixed policy).
+    /// in window order.
     ///
     /// # Errors
     ///
@@ -364,11 +362,13 @@ impl Forecaster {
                 target: vec![0.0; target_len],
             })
             .collect();
-        let mut ctx = RunCtx {
-            warm: self.warm_start,
-            ..self.ctx()
-        };
-        let results = infer_batch(&self.model, &samples, &self.anneal, master_seed, &mut ctx)?;
+        let results = infer_batch(
+            &self.model,
+            &samples,
+            &self.anneal,
+            master_seed,
+            &mut self.ctx(),
+        )?;
         Ok(results.into_iter().map(|(pred, _)| pred).collect())
     }
 
@@ -377,11 +377,8 @@ impl Forecaster {
     /// builder's retry policy and reports its health alongside the
     /// prediction. Windows whose guard never fires are bit-identical to
     /// the unguarded cold-start batch under every threading policy.
-    /// A [`WarmStart::Multigrid`] policy carries over (each window
-    /// warm-starts independently before its guard runs);
-    /// [`WarmStart::Chained`] does not — the guarded batch silently
-    /// cold-starts instead, since warm chaining would let one window's
-    /// degraded equilibrium seed the next.
+    /// A [`WarmStart::Multigrid`] policy carries over: each window
+    /// warm-starts independently before its guard runs.
     ///
     /// # Errors
     ///
@@ -401,11 +398,8 @@ impl Forecaster {
             })
             .collect();
         let seeds = batch_seeds(master_seed, samples.len());
-        let mut ctx = RunCtx {
-            warm: self.warm_start,
-            ..self.ctx()
-        };
-        let results = infer_batch_guarded(&self.model, &samples, &self.guard, &seeds, &mut ctx)?;
+        let results =
+            infer_batch_guarded(&self.model, &samples, &self.guard, &seeds, &mut self.ctx())?;
         Ok(results
             .into_iter()
             .map(|(pred, _, health)| (pred, health))
@@ -442,7 +436,14 @@ impl Forecaster {
         };
         let indices: Vec<usize> = observed.iter().map(|&(i, _)| i).collect();
         let machine = self.joint.as_ref().unwrap_or(&self.model);
-        let (pred, _) = infer_dense_imputation(machine, &sample, &indices, &self.anneal, rng)?;
+        let (pred, _) = infer_dense_imputation(
+            machine,
+            &sample,
+            &indices,
+            &self.anneal,
+            rng,
+            &mut self.ctx(),
+        )?;
         Ok(pred)
     }
 
@@ -710,7 +711,7 @@ mod tests {
         let fast = Forecaster::builder()
             .history(3)
             .anneal(AnnealConfig::adaptive())
-            .warm_start(WarmStart::Chained { chunk: 4 })
+            .multigrid(1, 1e-3)
             .fit(&dataset, &mut rng)
             .unwrap();
         let windows: Vec<Vec<f64>> = (100..108).map(|t| history_of(&dataset, t, 3)).collect();
@@ -731,6 +732,7 @@ mod tests {
         let f = Forecaster::builder()
             .history(3)
             .gaussian_outputs(true)
+            .telemetry(TelemetrySink::enabled())
             .fit(&dataset, &mut rng)
             .unwrap();
         let hist = history_of(&dataset, 80, 3);
@@ -741,6 +743,9 @@ mod tests {
             assert!((pred[i] - v).abs() < 1e-12, "observation {i} not echoed");
         }
         assert!(pred.len() == dataset.node_count());
+        // Imputation reports into the forecaster's sink like every
+        // other inference.
+        assert_eq!(f.telemetry_snapshot().counter("anneal.runs"), 1);
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn annealing_agrees_with_fixed_point() {
         let (annealed, report) =
             dsgl::core::inference::infer_dense(&f.dense, s, &cfg, &mut rng, &mut ctx).unwrap();
         assert!(report.converged);
-        let fp = infer_fixed_point(&f.dense, s, 300).unwrap();
+        let fp = infer_fixed_point(&f.dense, s, &[], 300).unwrap();
         let diff = dsgl::core::metrics::rmse(&annealed, &fp);
         assert!(diff < 1e-3, "annealed vs fixed point rmse {diff}");
     }

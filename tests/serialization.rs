@@ -20,8 +20,8 @@ fn trained_model_roundtrips() {
     let back: DsGlModel = serde_json::from_str(&json).unwrap();
     assert_eq!(model, back);
     // And it still predicts identically.
-    let p1 = dsgl::core::inference::infer_fixed_point(&model, &train[0], 100).unwrap();
-    let p2 = dsgl::core::inference::infer_fixed_point(&back, &train[0], 100).unwrap();
+    let p1 = dsgl::core::inference::infer_fixed_point(&model, &train[0], &[], 100).unwrap();
+    let p2 = dsgl::core::inference::infer_fixed_point(&back, &train[0], &[], 100).unwrap();
     assert_eq!(p1, p2);
 }
 
@@ -294,7 +294,6 @@ fn warm_start_policy_and_mg_instruments_schema_is_frozen() {
     // Every warm-start policy round-trips through JSON.
     for warm in [
         WarmStart::Cold,
-        WarmStart::Chained { chunk: 4 },
         WarmStart::Multigrid {
             levels: 2,
             coarse_tol: 1e-3,
@@ -304,12 +303,8 @@ fn warm_start_policy_and_mg_instruments_schema_is_frozen() {
         let back: WarmStart = serde_json::from_str(&json).unwrap();
         assert_eq!(warm, back);
     }
-    // Additivity: the variants that predate `Multigrid` keep their
-    // encodings, so configs serialized before it existed still load.
+    // Both variants' encodings are pinned, so saved configs keep loading.
     assert_eq!(serde_json::to_string(&WarmStart::Cold).unwrap(), "\"Cold\"");
-    let legacy: WarmStart = serde_json::from_str(r#"{"Chained":{"chunk":6}}"#).unwrap();
-    assert_eq!(legacy, WarmStart::Chained { chunk: 6 });
-    // And the multigrid variant's field names are pinned.
     let mg: WarmStart =
         serde_json::from_str(r#"{"Multigrid":{"levels":3,"coarse_tol":0.001}}"#).unwrap();
     assert_eq!(
