@@ -20,6 +20,11 @@
 //!    density (more slices) needs a longer annealing budget (Fig. 11);
 //! 3. **Wormholes**: long-range couplings ride CU super-connections and
 //!    behave like ordinary cross-PE couplings once routed.
+//!
+//! All three live in the mesh's current assembly. The node dynamics are
+//! the dense DSPU's: [`MappedMachine::run`] hands its assembly to
+//! [`Nodes::run`], the one integrator both machines share (Euler
+//! update, noise, rail clamp, convergence test and readout).
 
 use crate::config::HwConfig;
 use crate::fault::HwFaultModel;
@@ -28,10 +33,9 @@ use dsgl_core::inference::EvalReport;
 use dsgl_core::metrics::{pooled_rmse, rmse};
 use dsgl_core::{CoreError, DecomposedModel, TelemetrySink, TraceScope};
 use dsgl_data::Sample;
-use dsgl_ising::convergence::max_rate;
-use dsgl_ising::noise::gaussian;
-use dsgl_ising::{AnnealReport, Coupling, TiledCoupling, RC_NS};
-use rand::{Rng, RngExt};
+use dsgl_ising::anneal::Integrator;
+use dsgl_ising::{AnnealConfig, AnnealReport, Coupling, Nodes, TiledCoupling};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -54,7 +58,7 @@ pub struct CoAnnealReport {
 #[derive(Debug, Clone)]
 pub struct MappedMachine {
     n: usize,
-    /// Intra-PE couplings as dense per-PE tiles: `step_once` runs
+    /// Intra-PE couplings as dense per-PE tiles: `assemble` runs
     /// cache-resident tile kernels instead of CSR index chasing.
     intra: TiledCoupling,
     /// Scratch for the tiled mat-vec's gathered state.
@@ -67,22 +71,12 @@ pub struct MappedMachine {
     /// Sample-and-hold values per sliced link: for each coupling of each
     /// slice, the held remote values `(held_of_b_for_a, held_of_a_for_b)`.
     held: Vec<Vec<Vec<(f64, f64)>>>,
-    h: Vec<f64>,
-    state: Vec<f64>,
-    free: Vec<bool>,
+    /// The node bank the shared integrator advances.
+    nodes: Nodes,
     snapshot: Vec<f64>,
-    /// Pooled run scratch: convergence snapshot, summed currents, and
-    /// readout accumulator. Dead storage between runs, fully
-    /// reinitialised at each use, so repeat runs allocate nothing.
-    run_prev: Vec<f64>,
-    run_currents: Vec<f64>,
-    run_acc: Vec<f64>,
-    rail: f64,
-    capacitance: f64,
     target_range: std::ops::Range<usize>,
     history_len: usize,
     wormholes: usize,
-    readout: Option<Vec<f64>>,
     /// Per-node mask: `true` for variables placed on a declared-dead PE.
     /// Such nodes are pinned to ground on every load and never anneal.
     faulted: Vec<bool>,
@@ -200,19 +194,11 @@ impl MappedMachine {
             links,
             spatial,
             held,
-            h: model.h().to_vec(),
-            state: vec![0.0; n],
-            free: vec![true; n],
+            nodes: Nodes::new(model.h().to_vec()),
             snapshot: vec![0.0; n],
-            run_prev: Vec::new(),
-            run_currents: Vec::new(),
-            run_acc: Vec::new(),
-            rail: 1.0,
-            capacitance: RC_NS,
             target_range: layout.target_range(),
             history_len: layout.history_len(),
             wormholes: decomposed.wormholes.len(),
-            readout: None,
             faulted,
             severed_couplings: severed,
             pe_occupancy,
@@ -316,8 +302,8 @@ impl MappedMachine {
     fn pin_faulted(&mut self) {
         for (v, &dead) in self.faulted.iter().enumerate() {
             if dead {
-                self.state[v] = 0.0;
-                self.free[v] = false;
+                self.nodes.state[v] = 0.0;
+                self.nodes.free[v] = false;
             }
         }
     }
@@ -339,7 +325,7 @@ impl MappedMachine {
 
     /// Current node voltages.
     pub fn state(&self) -> &[f64] {
-        &self.state
+        &self.nodes.state
     }
 
     /// Loads a sample: history variables clamped, target variables
@@ -385,13 +371,11 @@ impl MappedMachine {
             });
         }
         for (v, &obs) in sample.history.iter().enumerate() {
-            self.state[v] = obs.clamp(-self.rail, self.rail);
-            self.free[v] = false;
+            self.nodes.state[v] = obs.clamp(-self.nodes.rail, self.nodes.rail);
+            self.nodes.free[v] = false;
         }
-        for v in self.target_range.clone() {
-            self.state[v] = (rng.random::<f64>() - 0.5) * 0.2 * self.rail;
-            self.free[v] = true;
-        }
+        self.nodes.free[self.target_range.clone()].fill(true);
+        self.nodes.randomize_free(rng);
         let frame_len = self.target_range.len();
         for &t_idx in observed_targets {
             if t_idx >= frame_len {
@@ -402,11 +386,11 @@ impl MappedMachine {
                 });
             }
             let v = self.history_len + t_idx;
-            self.state[v] = sample.target[t_idx].clamp(-self.rail, self.rail);
-            self.free[v] = false;
+            self.nodes.state[v] = sample.target[t_idx].clamp(-self.nodes.rail, self.nodes.rail);
+            self.nodes.free[v] = false;
         }
         self.pin_faulted();
-        self.snapshot.copy_from_slice(&self.state);
+        self.snapshot.copy_from_slice(&self.nodes.state);
         for (li, link) in self.links.iter().enumerate() {
             for (slice, helds) in link.slices.iter().zip(self.held[li].iter_mut()) {
                 for (c, h) in slice.iter().zip(helds.iter_mut()) {
@@ -415,37 +399,37 @@ impl MappedMachine {
                 }
             }
         }
-        self.readout = None;
         Ok(())
     }
 
-    /// One integrator step at simulated time `t` (shared by the main
-    /// annealing loop and the integrating readout).
-    fn step_once<R: Rng + ?Sized>(
+    /// One step's coupling currents at simulated time `t`. Kept out of
+    /// line: inlined into the shared integrator loop, this assembly ran
+    /// ~5 % slower per window on the `covid` mesh.
+    #[inline(never)]
+    fn assemble(
         &mut self,
         t: f64,
         last_sync: &mut f64,
         config: &HwConfig,
+        state: &[f64],
         currents: &mut [f64],
-        rng: &mut R,
     ) {
-        let anneal = &config.anneal;
         // Inter-tile synchronisation: refresh remote views.
         if t - *last_sync >= config.sync_interval_ns {
-            self.snapshot.copy_from_slice(&self.state);
+            self.snapshot.copy_from_slice(state);
             *last_sync = t;
         }
         // Intra-PE couplings act on live voltages: dense per-PE tile
         // kernels over gathered state.
         self.intra
-            .matvec_with_scratch(&self.state, currents, &mut self.tile_gather);
+            .matvec_with_scratch(state, currents, &mut self.tile_gather);
         // Cross-PE couplings: spatially co-annealed links (one slice)
         // are continuous analog paths through the CU crossbar and act on
         // live voltages — the paper needs no synchronisation within a
         // mapping; all of them are flattened into one contiguous list.
         for c in &self.spatial {
-            currents[c.var_a] += c.weight * self.state[c.var_b];
-            currents[c.var_b] += c.weight * self.state[c.var_a];
+            currents[c.var_a] += c.weight * state[c.var_b];
+            currents[c.var_b] += c.weight * state[c.var_a];
         }
         // Time-multiplexed links sample-and-hold: the active slice
         // refreshes its held remote values (from the synchronised
@@ -471,96 +455,41 @@ impl MappedMachine {
                 }
             }
         }
-        // Integrate.
-        for (i, &ci) in currents.iter().enumerate().take(self.n) {
-            if !self.free[i] {
-                continue;
-            }
-            let mut current = ci;
-            if anneal.noise.coupler_std > 0.0 {
-                current *= 1.0 + anneal.noise.coupler_std * gaussian(rng);
-            }
-            let dv = (current + self.h[i] * self.state[i]) / self.capacitance;
-            let mut next = self.state[i] + dv * anneal.dt_ns;
-            if anneal.noise.node_std > 0.0 {
-                let sigma = anneal.noise.node_std
-                    * self.rail
-                    * (2.0 * self.h[i].abs() * anneal.dt_ns / self.capacitance).sqrt();
-                next += sigma * gaussian(rng);
-            }
-            self.state[i] = next.clamp(-self.rail, self.rail);
-        }
     }
 
     /// Runs co-annealing under `config`, returning the report.
+    ///
+    /// The mesh always integrates strict forward Euler:
+    /// `config.anneal.integrator` and `config.anneal.mode` are ignored.
+    /// Only the current assembly is the mesh's own; the integration,
+    /// convergence test and readout are [`Nodes::run`]'s. When slices
+    /// rotate (or noise is injected) the voltages ripple around the
+    /// fixed point, so the readout integrates over at least one full
+    /// rotation period: this is how analog machines average
+    /// duty-cycled couplings out of the output.
     pub fn run<R: Rng + ?Sized>(&mut self, config: &HwConfig, rng: &mut R) -> CoAnnealReport {
         let span_start = self.tracing.start();
-        let anneal = &config.anneal;
-        let mut t = 0.0;
-        let mut steps = 0usize;
+        let anneal = AnnealConfig {
+            integrator: Integrator::Euler,
+            ..config.anneal
+        };
+        let slices = self.max_slices();
+        let min_readout_ns = if slices > 1 || !anneal.noise.is_none() {
+            (slices as f64 * config.slice_dwell_ns).max(4.0 * anneal.dt_ns)
+        } else {
+            0.0
+        };
+        self.snapshot.copy_from_slice(&self.nodes.state);
+        // The node bank is lent to the integrator for the run so that the
+        // current assembly can borrow the rest of the machine.
+        let mut nodes = std::mem::replace(&mut self.nodes, Nodes::new(Vec::new()));
         let mut last_sync = 0.0;
-        let mut converged = false;
-        let mut rate = f64::INFINITY;
-        let mut prev = std::mem::take(&mut self.run_prev);
-        prev.clear();
-        prev.extend_from_slice(&self.state);
-        let mut currents = std::mem::take(&mut self.run_currents);
-        currents.clear();
-        currents.resize(self.n, 0.0);
-        self.snapshot.copy_from_slice(&self.state);
-
-        while t < anneal.max_time_ns {
-            self.step_once(t, &mut last_sync, config, &mut currents, rng);
-            t += anneal.dt_ns;
-            steps += 1;
-            if steps.is_multiple_of(anneal.check_every) {
-                rate = max_rate(
-                    &prev,
-                    &self.state,
-                    &self.free,
-                    anneal.dt_ns * anneal.check_every as f64,
-                );
-                prev.copy_from_slice(&self.state);
-                if rate < anneal.tolerance {
-                    converged = true;
-                    break;
-                }
-            }
-        }
-        // Integrating readout: when slices rotate (or noise is injected),
-        // the voltages ripple around the fixed point, so the node-control
-        // unit integrates over one full rotation period before latching
-        // the output — this is how analog machines average duty-cycled
-        // couplings and dynamic noise out of the readout.
-        self.readout = None;
-        if self.max_slices() > 1 || !anneal.noise.is_none() {
-            let mut period_ns = (self.max_slices() as f64 * config.slice_dwell_ns)
-                .max(4.0 * anneal.dt_ns);
-            if !anneal.noise.is_none() {
-                // Average over several RC constants to filter noise.
-                let min_h = self
-                    .h
-                    .iter()
-                    .fold(f64::INFINITY, |m, h| m.min(h.abs()))
-                    .max(1e-9);
-                period_ns = period_ns.max(8.0 * self.capacitance / min_h);
-            }
-            let avg_steps = (period_ns / anneal.dt_ns).ceil() as usize;
-            let mut acc = std::mem::take(&mut self.run_acc);
-            acc.clear();
-            acc.resize(self.n, 0.0);
-            for _ in 0..avg_steps {
-                self.step_once(t, &mut last_sync, config, &mut currents, rng);
-                t += anneal.dt_ns;
-                steps += 1;
-                for (a, &s) in acc.iter_mut().zip(&self.state) {
-                    *a += s;
-                }
-            }
-            let inv = 1.0 / avg_steps as f64;
-            self.readout = Some(acc.iter().map(|&a| a * inv).collect());
-            self.run_acc = acc;
-        }
+        let currents = |t, state: &[f64], out: &mut [f64]| {
+            self.assemble(t, &mut last_sync, config, state, out)
+        };
+        let anneal_report = nodes.run(&anneal, min_readout_ns, None, None, rng, currents);
+        self.nodes = nodes;
+        let t = anneal_report.sim_time_ns;
         if self.telemetry.is_enabled() {
             self.telemetry.counter_add("hw.coanneal_runs", 1);
             // Both counters are derived arithmetically from simulated
@@ -573,7 +502,7 @@ impl MappedMachine {
                     (t / config.sync_interval_ns).floor().max(0.0) as u64,
                 );
             }
-            if self.max_slices() > 1 && config.slice_dwell_ns > 0.0 {
+            if slices > 1 && config.slice_dwell_ns > 0.0 {
                 self.telemetry.counter_add(
                     "hw.slice_switches",
                     (t / config.slice_dwell_ns).floor().max(0.0) as u64
@@ -581,39 +510,29 @@ impl MappedMachine {
                 );
             }
         }
-        self.run_prev = prev;
-        self.run_currents = currents;
         self.tracing.record(
             "hw.coanneal",
             span_start,
             &[
-                ("steps", steps as f64),
+                ("steps", anneal_report.steps as f64),
                 ("sim_time_ns", t),
-                ("converged", f64::from(u8::from(converged))),
+                ("converged", f64::from(u8::from(anneal_report.converged))),
             ],
         );
         CoAnnealReport {
-            anneal: AnnealReport {
-                converged,
-                steps,
-                sim_time_ns: t,
-                final_rate: rate,
-                energy: 0.0,
-                sparse_steps: 0,
-                mean_active_fraction: 1.0,
-            },
+            anneal: anneal_report,
             links: self.link_count(),
             temporal_links: self.temporal_link_count(),
-            max_slices: self.max_slices(),
+            max_slices: slices,
             wormholes: self.wormholes,
         }
     }
 
-    /// The target-block prediction after a run: the integrated readout
-    /// when one was latched, the instantaneous voltages otherwise.
+    /// The target-block prediction after a run: the free targets hold
+    /// the integrated readout when one was latched, the instantaneous
+    /// voltages otherwise.
     pub fn prediction(&self) -> Vec<f64> {
-        let source = self.readout.as_deref().unwrap_or(&self.state);
-        source[self.target_range.clone()].to_vec()
+        self.nodes.state[self.target_range.clone()].to_vec()
     }
 }
 
@@ -732,7 +651,7 @@ mod tests {
     use dsgl_core::inference::infer_fixed_point;
     use dsgl_core::{decompose, DecomposeConfig, DsGlModel, PatternKind, TrainConfig, Trainer, VariableLayout};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
 
     fn trained_decomposed(
         nodes: usize,
@@ -957,20 +876,36 @@ mod tests {
     #[test]
     fn no_faults_is_bit_identical_to_new() {
         let (d, samples) = trained_decomposed(8, 0.6, 25);
-        let run = |mut machine: MappedMachine| {
+        let run = |mut machine: MappedMachine, hw: &HwConfig| {
             let mut rng = StdRng::seed_from_u64(26);
             machine.load_sample(&samples[0], &mut rng).unwrap();
-            machine.run(&HwConfig::default(), &mut rng);
-            machine
+            let report = machine.run(hw, &mut rng);
+            let bits = machine
                 .prediction()
                 .iter()
                 .map(|p| p.to_bits())
-                .collect::<Vec<_>>()
+                .collect::<Vec<_>>();
+            (bits, report)
         };
-        let plain = run(MappedMachine::new(&d, 30).unwrap());
-        let faultless =
-            run(MappedMachine::with_faults(&d, 30, &HwFaultModel::none()).unwrap());
+        let plain = run(MappedMachine::new(&d, 30).unwrap(), &HwConfig::default());
+        let faultless = run(
+            MappedMachine::with_faults(&d, 30, &HwFaultModel::none()).unwrap(),
+            &HwConfig::default(),
+        );
         assert_eq!(plain, faultless);
+        // The mesh always integrates strict Euler: an RK4 or adaptive
+        // annealing configuration is ignored and gives the same bits.
+        let rk4 = AnnealConfig {
+            integrator: Integrator::Rk4,
+            ..AnnealConfig::default()
+        };
+        for anneal in [rk4, AnnealConfig::adaptive()] {
+            let hw = HwConfig {
+                anneal,
+                ..HwConfig::default()
+            };
+            assert_eq!(run(MappedMachine::new(&d, 30).unwrap(), &hw), plain);
+        }
     }
 
     #[test]

@@ -19,7 +19,10 @@ pub struct HwConfig {
     /// average* of the rotating couplings rather than chasing each
     /// slice's own equilibrium.
     pub slice_dwell_ns: f64,
-    /// The underlying annealing run configuration.
+    /// The underlying annealing run configuration. The mesh always
+    /// integrates strict forward Euler, so its `integrator` and `mode`
+    /// are ignored; the time step, budget, tolerance, check interval
+    /// and noise apply.
     pub anneal: AnnealConfig,
 }
 

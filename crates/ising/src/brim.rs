@@ -7,11 +7,12 @@
 //! the node genuinely two-state, and a random-flip schedule provides the
 //! annealing control used for combinatorial problems such as max-cut.
 
-use crate::anneal::{AnnealConfig, AnnealReport, FlipSchedule};
+use crate::anneal::{AnnealConfig, AnnealReport, FlipSchedule, Integrator};
 use crate::coupling::Coupling;
 use crate::error::IsingError;
 use crate::hamiltonian::ising_energy;
-use crate::noise::{gaussian, NoiseModel};
+use crate::integrate::Nodes;
+use crate::noise::NoiseModel;
 use crate::sparse::SparseCoupling;
 use crate::trace::Trace;
 use rand::{Rng, RngExt};
@@ -39,11 +40,8 @@ pub struct Brim {
     coupling: SparseCoupling,
     dense: Coupling,
     h: Vec<f64>,
-    state: Vec<f64>,
-    free: Vec<bool>,
-    rail: f64,
-    capacitance: f64,
-    latch_gain: f64,
+    /// Node bank whose self-feedback is the latch gain `λ = 0.5`.
+    nodes: Nodes,
 }
 
 impl Brim {
@@ -69,11 +67,7 @@ impl Brim {
             coupling: SparseCoupling::from_dense(&coupling),
             dense: coupling,
             h,
-            state: vec![0.0; n],
-            free: vec![true; n],
-            rail: 1.0,
-            capacitance: crate::RC_NS,
-            latch_gain: 0.5,
+            nodes: Nodes::new(vec![0.5; n]),
         })
     }
 
@@ -89,24 +83,18 @@ impl Brim {
     /// Returns [`IsingError::InvalidParameter`] unless `c` is finite and
     /// positive.
     pub fn set_capacitance(&mut self, c: f64) -> Result<(), IsingError> {
-        if !c.is_finite() || c <= 0.0 {
-            return Err(IsingError::InvalidParameter {
-                what: "capacitance",
-                value: c,
-            });
-        }
-        self.capacitance = c;
-        Ok(())
+        self.nodes.set_capacitance(c)
     }
 
     /// Current node voltages.
     pub fn state(&self) -> &[f64] {
-        &self.state
+        &self.nodes.state
     }
 
     /// Binary spin readout: the sign of each voltage (`+1` for zero).
     pub fn spins(&self) -> Vec<i8> {
-        self.state
+        self.nodes
+            .state
             .iter()
             .map(|&v| if v < 0.0 { -1 } else { 1 })
             .collect()
@@ -118,31 +106,12 @@ impl Brim {
     ///
     /// Same contract as [`crate::RealValuedDspu::clamp`].
     pub fn clamp(&mut self, i: usize, value: f64) -> Result<(), IsingError> {
-        if i >= self.n() {
-            return Err(IsingError::NodeOutOfRange {
-                node: i,
-                len: self.n(),
-            });
-        }
-        if !value.is_finite() || value.abs() > self.rail {
-            return Err(IsingError::ClampOutOfRails {
-                node: i,
-                value,
-                rail: self.rail,
-            });
-        }
-        self.free[i] = false;
-        self.state[i] = value;
-        Ok(())
+        self.nodes.clamp(i, value)
     }
 
     /// Initialises free nodes uniformly in `[-rail/10, rail/10]`.
     pub fn randomize<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        for i in 0..self.n() {
-            if self.free[i] {
-                self.state[i] = (rng.random::<f64>() - 0.5) * 0.2 * self.rail;
-            }
-        }
+        self.nodes.randomize_free(rng);
     }
 
     /// Current Ising energy of the (binarised) spins.
@@ -160,30 +129,15 @@ impl Brim {
     ///
     /// Panics if `dt_ns <= 0`.
     pub fn step<R: Rng + ?Sized>(&mut self, dt_ns: f64, noise: &NoiseModel, rng: &mut R) {
-        assert!(dt_ns > 0.0, "dt must be positive");
-        let n = self.n();
-        let mut js = vec![0.0; n];
-        self.coupling.matvec(&self.state, &mut js);
-        // Same stationary-percentage noise convention as the DSPU, with
-        // the latch gain setting the node bandwidth.
-        let node_sigma = noise.node_std
-            * self.rail
-            * (2.0 * self.latch_gain * dt_ns / self.capacitance).sqrt();
-        for (i, &jsi) in js.iter().enumerate().take(n) {
-            if !self.free[i] {
-                continue;
+        let (coupling, h) = (&self.coupling, &self.h);
+        let mut currents = |_, s: &[f64], js: &mut [f64]| {
+            coupling.matvec(s, js);
+            for (j, &b) in js.iter_mut().zip(h) {
+                *j += b;
             }
-            let mut current = jsi + self.h[i];
-            if noise.coupler_std > 0.0 {
-                current *= 1.0 + noise.coupler_std * gaussian(rng);
-            }
-            let dv = (current + self.latch_gain * self.state[i]) / self.capacitance;
-            let mut next = self.state[i] + dv * dt_ns;
-            if node_sigma > 0.0 {
-                next += node_sigma * gaussian(rng);
-            }
-            self.state[i] = next.clamp(-self.rail, self.rail);
-        }
+        };
+        self.nodes
+            .step(Integrator::Euler, 0.0, dt_ns, noise, rng, &mut currents);
     }
 
     /// Runs annealing: continuous dynamics plus scheduled random flips
@@ -220,16 +174,16 @@ impl Brim {
         let mut t = 0.0;
         let mut steps = 0;
         let mut best_energy = self.energy();
-        let mut best_state = self.state.clone();
+        let mut best_state = self.nodes.state.clone();
         if let Some(tr) = trace.as_deref_mut() {
-            tr.record(0.0, &self.state);
+            tr.record(0.0, &self.nodes.state);
         }
         while t < config.max_time_ns {
             let p = flips.probability(t, config.dt_ns);
             if p > 0.0 {
                 for i in 0..self.n() {
-                    if self.free[i] && rng.random::<f64>() < p {
-                        self.state[i] = -self.state[i];
+                    if self.nodes.free[i] && rng.random::<f64>() < p {
+                        self.nodes.state[i] = -self.nodes.state[i];
                     }
                 }
             }
@@ -237,19 +191,19 @@ impl Brim {
             t += config.dt_ns;
             steps += 1;
             if let Some(tr) = trace.as_deref_mut() {
-                tr.record(t, &self.state);
+                tr.record(t, &self.nodes.state);
             }
             if steps % config.check_every == 0 {
                 let e = self.energy();
                 if e < best_energy {
                     best_energy = e;
-                    best_state.copy_from_slice(&self.state);
+                    best_state.copy_from_slice(&self.nodes.state);
                 }
             }
         }
         // Keep the best configuration visited (standard annealing readout).
         if self.energy() > best_energy {
-            self.state.copy_from_slice(&best_state);
+            self.nodes.state.copy_from_slice(&best_state);
         }
         AnnealReport {
             converged: true,

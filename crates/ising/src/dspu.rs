@@ -2,15 +2,15 @@
 //! settles on real-valued solutions (paper Sec. III).
 
 use crate::anneal::{AnnealConfig, AnnealReport, Integrator};
-use crate::convergence::max_rate;
 use crate::coupling::Coupling;
 use crate::error::IsingError;
 use crate::hamiltonian::rv_energy_from_matvec;
-use crate::noise::{gaussian, NoiseModel};
+use crate::integrate::Nodes;
+use crate::noise::NoiseModel;
 use crate::sparse::SparseCoupling;
 use crate::trace::Trace;
 use crate::workspace::Workspace;
-use rand::{Rng, RngExt};
+use rand::Rng;
 
 /// A simulated Real-Valued Dynamical-System Processing Unit.
 ///
@@ -47,12 +47,7 @@ use rand::{Rng, RngExt};
 #[derive(Debug, Clone)]
 pub struct RealValuedDspu {
     pub(crate) coupling: SparseCoupling,
-    pub(crate) h: Vec<f64>,
-    pub(crate) state: Vec<f64>,
-    pub(crate) free: Vec<bool>,
-    pub(crate) rail: f64,
-    pub(crate) capacitance: f64,
-    pub(crate) workspace: Workspace,
+    pub(crate) nodes: Nodes,
     pub(crate) telemetry: crate::telemetry::TelemetrySink,
     pub(crate) tracing: crate::tracing::TraceScope,
     pub(crate) cancel: Option<crate::cancel::CancelToken>,
@@ -67,32 +62,7 @@ impl RealValuedDspu {
     /// [`IsingError::NonNegativeSelfReaction`] when any `hᵢ >= 0`, and
     /// [`IsingError::NonFinite`] for non-finite `h`.
     pub fn new(coupling: Coupling, h: Vec<f64>) -> Result<Self, IsingError> {
-        let n = coupling.n();
-        if h.len() != n {
-            return Err(IsingError::DimensionMismatch {
-                what: "h",
-                expected: n,
-                actual: h.len(),
-            });
-        }
-        if h.iter().any(|v| !v.is_finite()) {
-            return Err(IsingError::NonFinite { what: "h" });
-        }
-        if let Some((node, &value)) = h.iter().enumerate().find(|(_, &v)| v >= 0.0) {
-            return Err(IsingError::NonNegativeSelfReaction { node, value });
-        }
-        Ok(RealValuedDspu {
-            coupling: SparseCoupling::from_dense(&coupling),
-            h,
-            state: vec![0.0; n],
-            free: vec![true; n],
-            rail: 1.0,
-            capacitance: crate::RC_NS,
-            workspace: Workspace::new(),
-            telemetry: crate::telemetry::TelemetrySink::noop(),
-            tracing: crate::tracing::TraceScope::noop(),
-            cancel: None,
-        })
+        Self::from_sparse(SparseCoupling::from_dense(&coupling), h)
     }
 
     /// Builds a machine directly from a sparse coupling — the
@@ -123,12 +93,7 @@ impl RealValuedDspu {
         }
         Ok(RealValuedDspu {
             coupling,
-            h,
-            state: vec![0.0; n],
-            free: vec![true; n],
-            rail: 1.0,
-            capacitance: crate::RC_NS,
-            workspace: Workspace::new(),
+            nodes: Nodes::new(h),
             telemetry: crate::telemetry::TelemetrySink::noop(),
             tracing: crate::tracing::TraceScope::noop(),
             cancel: None,
@@ -188,7 +153,7 @@ impl RealValuedDspu {
 
     /// Node capacitance in ns·Ω (the RC time constant at unit `|h|`).
     pub fn capacitance(&self) -> f64 {
-        self.capacitance
+        self.nodes.capacitance
     }
 
     /// Overrides the node capacitance.
@@ -198,24 +163,17 @@ impl RealValuedDspu {
     /// Returns [`IsingError::InvalidParameter`] unless `c` is finite and
     /// positive.
     pub fn set_capacitance(&mut self, c: f64) -> Result<(), IsingError> {
-        if !c.is_finite() || c <= 0.0 {
-            return Err(IsingError::InvalidParameter {
-                what: "capacitance",
-                value: c,
-            });
-        }
-        self.capacitance = c;
-        Ok(())
+        self.nodes.set_capacitance(c)
     }
 
     /// Number of nodes.
     pub fn n(&self) -> usize {
-        self.h.len()
+        self.nodes.h.len()
     }
 
     /// Voltage rail magnitude (default 1.0).
     pub fn rail(&self) -> f64 {
-        self.rail
+        self.nodes.rail
     }
 
     /// Sets the voltage rail magnitude.
@@ -231,7 +189,7 @@ impl RealValuedDspu {
                 value: rail,
             });
         }
-        self.rail = rail;
+        self.nodes.rail = rail;
         Ok(())
     }
 
@@ -242,22 +200,7 @@ impl RealValuedDspu {
     /// Returns [`IsingError::NodeOutOfRange`] or
     /// [`IsingError::ClampOutOfRails`].
     pub fn clamp(&mut self, i: usize, value: f64) -> Result<(), IsingError> {
-        if i >= self.n() {
-            return Err(IsingError::NodeOutOfRange {
-                node: i,
-                len: self.n(),
-            });
-        }
-        if !value.is_finite() || value.abs() > self.rail {
-            return Err(IsingError::ClampOutOfRails {
-                node: i,
-                value,
-                rail: self.rail,
-            });
-        }
-        self.free[i] = false;
-        self.state[i] = value;
-        Ok(())
+        self.nodes.clamp(i, value)
     }
 
     /// Releases node `i` back to free evolution.
@@ -272,23 +215,23 @@ impl RealValuedDspu {
                 len: self.n(),
             });
         }
-        self.free[i] = true;
+        self.nodes.free[i] = true;
         Ok(())
     }
 
     /// Releases all nodes.
     pub fn release_all(&mut self) {
-        self.free.fill(true);
+        self.nodes.free.fill(true);
     }
 
     /// Current node voltages.
     pub fn state(&self) -> &[f64] {
-        &self.state
+        &self.nodes.state
     }
 
     /// Which nodes are free (not clamped).
     pub fn free_mask(&self) -> &[bool] {
-        &self.free
+        &self.nodes.free
     }
 
     /// Overwrites the full state (clamped and free alike).
@@ -308,18 +251,14 @@ impl RealValuedDspu {
         if state.iter().any(|v| !v.is_finite()) {
             return Err(IsingError::NonFinite { what: "state" });
         }
-        self.state.copy_from_slice(state);
+        self.nodes.state.copy_from_slice(state);
         Ok(())
     }
 
     /// Initialises free nodes uniformly in `[-rail/10, rail/10]`
     /// (the random initialisation of unknown nodes, paper Sec. III.C).
     pub fn randomize_free<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        for i in 0..self.n() {
-            if self.free[i] {
-                self.state[i] = (rng.random::<f64>() - 0.5) * 0.2 * self.rail;
-            }
-        }
+        self.nodes.randomize_free(rng);
     }
 
     /// Injects persistent hardware defects described by a
@@ -356,8 +295,8 @@ impl RealValuedDspu {
         for s in &faults.stuck_nodes {
             // Deliberately bypasses `clamp` validation: a stuck level may
             // sit outside the rails or be NaN.
-            self.free[s.idx] = false;
-            self.state[s.idx] = s.value;
+            self.nodes.free[s.idx] = false;
+            self.nodes.state[s.idx] = s.value;
         }
         Ok(())
     }
@@ -367,7 +306,7 @@ impl RealValuedDspu {
     /// guarded annealing after NaN contamination.
     pub fn sanitize(&mut self, fallback: f64) -> usize {
         let mut replaced = 0;
-        for v in &mut self.state {
+        for v in &mut self.nodes.state {
             if !v.is_finite() {
                 *v = fallback;
                 replaced += 1;
@@ -389,18 +328,18 @@ impl RealValuedDspu {
     /// Takes `&mut self` only to reuse the machine's pooled current
     /// buffer; observable state is untouched.
     pub fn max_free_rate(&mut self) -> f64 {
-        let n = self.h.len();
-        self.workspace.ensure_step(n);
-        let ws = &mut self.workspace;
-        self.coupling.matvec(&self.state, &mut ws.js);
+        let n = self.nodes.h.len();
+        self.nodes.workspace.ensure_step(n);
+        let ws = &mut self.nodes.workspace;
+        self.coupling.matvec(&self.nodes.state, &mut ws.js);
         let mut rate = 0.0f64;
         for (i, &jsi) in ws.js.iter().enumerate() {
-            if !self.free[i] {
+            if !self.nodes.free[i] {
                 continue;
             }
-            let dv = (jsi + self.h[i] * self.state[i]) / self.capacitance;
-            let pinned = (self.state[i] >= self.rail && dv > 0.0)
-                || (self.state[i] <= -self.rail && dv < 0.0);
+            let dv = (jsi + self.nodes.h[i] * self.nodes.state[i]) / self.nodes.capacitance;
+            let pinned = (self.nodes.state[i] >= self.nodes.rail && dv > 0.0)
+                || (self.nodes.state[i] <= -self.nodes.rail && dv < 0.0);
             if !pinned {
                 rate = rate.max(dv.abs());
             }
@@ -413,11 +352,11 @@ impl RealValuedDspu {
     /// Takes `&mut self` only to reuse the machine's pooled current
     /// buffer; observable state is untouched.
     pub fn energy(&mut self) -> f64 {
-        let n = self.h.len();
-        self.workspace.ensure_step(n);
-        let ws = &mut self.workspace;
-        self.coupling.matvec(&self.state, &mut ws.js);
-        rv_energy_from_matvec(&ws.js, &self.h, &self.state)
+        let n = self.nodes.h.len();
+        self.nodes.workspace.ensure_step(n);
+        let ws = &mut self.nodes.workspace;
+        self.coupling.matvec(&self.nodes.state, &mut ws.js);
+        rv_energy_from_matvec(&ws.js, &self.nodes.h, &self.nodes.state)
     }
 
     /// Detaches the machine's scratch [`Workspace`], leaving an empty
@@ -427,20 +366,20 @@ impl RealValuedDspu {
     /// the first-use allocations again. Buffers carry capacity, never
     /// values, so migration cannot change any result.
     pub fn take_workspace(&mut self) -> Workspace {
-        std::mem::take(&mut self.workspace)
+        std::mem::take(&mut self.nodes.workspace)
     }
 
     /// Installs a scratch [`Workspace`] (typically detached from a
     /// previous machine with [`take_workspace`](Self::take_workspace)),
     /// replacing the current pool.
     pub fn adopt_workspace(&mut self, ws: Workspace) {
-        self.workspace = ws;
+        self.nodes.workspace = ws;
     }
 
     /// The machine's scratch [`Workspace`] — exposes the buffer-reuse
     /// counters that prove the annealing hot path stopped allocating.
     pub fn workspace(&self) -> &Workspace {
-        &self.workspace
+        &self.nodes.workspace
     }
 
     /// Advances the machine one Euler step of `dt_ns`, returning the
@@ -461,36 +400,9 @@ impl RealValuedDspu {
         noise: &NoiseModel,
         rng: &mut R,
     ) -> f64 {
-        assert!(dt_ns > 0.0, "dt must be positive");
-        let n = self.h.len();
-        self.workspace.ensure_step(n);
-        // Disjoint field borrows: the workspace lends its current buffer
-        // while coupling/state/h stay borrowed through `self`.
-        let ws = &mut self.workspace;
-        self.coupling.matvec(&self.state, &mut ws.js);
-        let mut rate = 0.0f64;
-        for (i, &jsi) in ws.js.iter().enumerate() {
-            if !self.free[i] {
-                continue;
-            }
-            let mut current = jsi;
-            if noise.coupler_std > 0.0 {
-                current *= 1.0 + noise.coupler_std * gaussian(rng);
-            }
-            let dv = (current + self.h[i] * self.state[i]) / self.capacitance;
-            rate = rate.max(dv.abs());
-            let mut next = self.state[i] + dv * dt_ns;
-            if noise.node_std > 0.0 {
-                // White current noise scaled so the RC-filtered voltage
-                // fluctuates with stationary std = node_std·rail.
-                let sigma = noise.node_std
-                    * self.rail
-                    * (2.0 * self.h[i].abs() * dt_ns / self.capacitance).sqrt();
-                next += sigma * gaussian(rng);
-            }
-            self.state[i] = next.clamp(-self.rail, self.rail);
-        }
-        rate
+        let currents = &mut Self::csr(&self.coupling);
+        self.nodes
+            .step(Integrator::Euler, 0.0, dt_ns, noise, rng, currents)
     }
 
     /// Advances one classical RK4 step of `dt_ns` on the noiseless
@@ -511,58 +423,14 @@ impl RealValuedDspu {
         noise: &NoiseModel,
         rng: &mut R,
     ) -> f64 {
-        assert!(dt_ns > 0.0, "dt must be positive");
-        let n = self.n();
-        let deriv = |machine: &Self, state: &[f64], out: &mut [f64]| {
-            machine.coupling.matvec(state, out);
-            for i in 0..n {
-                out[i] = if machine.free[i] {
-                    (out[i] + machine.h[i] * state[i]) / machine.capacitance
-                } else {
-                    0.0
-                };
-            }
-        };
-        // `deriv` borrows the whole machine, so the stage buffers are
-        // detached for the duration of the step (`mem::take` leaves an
-        // empty pool in place) and restored afterwards — no per-step
-        // allocation once the pool is warm.
-        self.workspace.ensure_rk4(n);
-        let mut ws = std::mem::take(&mut self.workspace);
-        deriv(self, &self.state, &mut ws.k1);
-        for i in 0..n {
-            ws.stage[i] = self.state[i] + 0.5 * dt_ns * ws.k1[i];
-        }
-        deriv(self, &ws.stage, &mut ws.k2);
-        for i in 0..n {
-            ws.stage[i] = self.state[i] + 0.5 * dt_ns * ws.k2[i];
-        }
-        deriv(self, &ws.stage, &mut ws.k3);
-        for i in 0..n {
-            ws.stage[i] = self.state[i] + dt_ns * ws.k3[i];
-        }
-        deriv(self, &ws.stage, &mut ws.k4);
-        let mut rate = 0.0f64;
-        for i in 0..n {
-            if !self.free[i] {
-                continue;
-            }
-            let dv = (ws.k1[i] + 2.0 * ws.k2[i] + 2.0 * ws.k3[i] + ws.k4[i]) / 6.0;
-            rate = rate.max(dv.abs());
-            let mut next = self.state[i] + dv * dt_ns;
-            if noise.node_std > 0.0 {
-                let sigma = noise.node_std
-                    * self.rail
-                    * (2.0 * self.h[i].abs() * dt_ns / self.capacitance).sqrt();
-                next += sigma * gaussian(rng);
-            }
-            if noise.coupler_std > 0.0 {
-                next += noise.coupler_std * dv.abs() * dt_ns * gaussian(rng);
-            }
-            self.state[i] = next.clamp(-self.rail, self.rail);
-        }
-        self.workspace = ws;
-        rate
+        let currents = &mut Self::csr(&self.coupling);
+        self.nodes
+            .step(Integrator::Rk4, 0.0, dt_ns, noise, rng, currents)
+    }
+
+    /// The CSR mat-vec as the integrator's current source.
+    fn csr(coupling: &SparseCoupling) -> impl FnMut(f64, &[f64], &mut [f64]) + '_ {
+        move |_, s, js| coupling.matvec(s, js)
     }
 
     /// Runs natural annealing until convergence or the time budget.
@@ -587,7 +455,7 @@ impl RealValuedDspu {
         &mut self,
         config: &AnnealConfig,
         rng: &mut R,
-        mut trace: Option<&mut Trace>,
+        trace: Option<&mut Trace>,
     ) -> AnnealReport {
         let span_start = self.tracing.start();
         // The event-driven engine handles noiseless Euler runs; noise
@@ -602,95 +470,9 @@ impl RealValuedDspu {
                 return report;
             }
         }
-        let mut t = 0.0;
-        let mut steps = 0;
-        let mut converged = false;
-        // Convergence snapshot from the pool: detached because `step`
-        // below needs the workspace, restored before returning.
-        let mut prev = std::mem::take(&mut self.workspace.prev);
-        let reused = Workspace::ensure_f64(&mut prev, self.n());
-        self.workspace.note(reused);
-        prev.copy_from_slice(&self.state);
-        let mut rate = f64::INFINITY;
-        if let Some(tr) = trace.as_deref_mut() {
-            tr.record(0.0, &self.state);
-        }
-        while t < config.max_time_ns {
-            if self.cancel_requested() {
-                break;
-            }
-            match config.integrator {
-                Integrator::Euler => self.step(config.dt_ns, &config.noise, rng),
-                Integrator::Rk4 => self.step_rk4(config.dt_ns, &config.noise, rng),
-            };
-            t += config.dt_ns;
-            steps += 1;
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.record(t, &self.state);
-            }
-            if steps % config.check_every == 0 {
-                rate = max_rate(
-                    &prev,
-                    &self.state,
-                    &self.free,
-                    config.dt_ns * config.check_every as f64,
-                );
-                prev.copy_from_slice(&self.state);
-                if rate < config.tolerance {
-                    converged = true;
-                    break;
-                }
-            }
-        }
-        // Integrating readout under noise: the node-control unit latches
-        // the output as a time-average over several RC constants, which
-        // filters the voltage jitter out of the reading (paper Fig. 13's
-        // "natural good tolerance of physical dynamical systems").
-        // A cancelled run skips the readout rather than burn the full
-        // averaging window after the supervisor already gave up on it.
-        if !config.noise.is_none() && !self.cancel_requested() {
-            let min_h = self
-                .h
-                .iter()
-                .fold(f64::INFINITY, |m, h| m.min(h.abs()))
-                .max(1e-9);
-            let window_ns = 8.0 * self.capacitance / min_h;
-            let avg_steps = ((window_ns / config.dt_ns).ceil() as usize).max(1);
-            let mut acc = std::mem::take(&mut self.workspace.acc);
-            let reused = Workspace::ensure_f64(&mut acc, self.n());
-            self.workspace.note(reused);
-            for _ in 0..avg_steps {
-                match config.integrator {
-                    Integrator::Euler => self.step(config.dt_ns, &config.noise, rng),
-                    Integrator::Rk4 => self.step_rk4(config.dt_ns, &config.noise, rng),
-                };
-                t += config.dt_ns;
-                steps += 1;
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.record(t, &self.state);
-                }
-                for (a, &s) in acc.iter_mut().zip(&self.state) {
-                    *a += s;
-                }
-            }
-            let inv = 1.0 / avg_steps as f64;
-            for (i, &a) in acc.iter().enumerate() {
-                if self.free[i] {
-                    self.state[i] = a * inv;
-                }
-            }
-            self.workspace.acc = acc;
-        }
-        self.workspace.prev = prev;
-        let report = AnnealReport {
-            converged,
-            steps,
-            sim_time_ns: t,
-            final_rate: rate,
-            energy: self.energy(),
-            sparse_steps: 0,
-            mean_active_fraction: 1.0,
-        };
+        let (currents, cancel) = (Self::csr(&self.coupling), self.cancel.as_ref());
+        let mut report = self.nodes.run(config, 0.0, cancel, trace, rng, currents);
+        report.energy = self.energy();
         self.record_anneal_metrics(&report);
         self.record_anneal_span("anneal.strict", span_start, &report);
         report
@@ -724,7 +506,7 @@ impl RealValuedDspu {
     /// drained either way so a later enabled run never reports stale
     /// counts.
     fn record_anneal_metrics(&mut self, report: &AnnealReport) {
-        let reuses = self.workspace.drain_unreported();
+        let reuses = self.nodes.workspace.drain_unreported();
         let sink = &self.telemetry;
         if !sink.is_enabled() {
             return;
@@ -742,10 +524,11 @@ impl RealValuedDspu {
         sink.record("anneal.sparse_steps", report.sparse_steps as f64);
         sink.record("anneal.active_fraction", report.mean_active_fraction);
         let railed = self
+            .nodes
             .state
             .iter()
-            .zip(&self.free)
-            .filter(|(v, &free)| free && v.abs() >= self.rail)
+            .zip(&self.nodes.free)
+            .filter(|(v, &free)| free && v.abs() >= self.nodes.rail)
             .count();
         sink.record("anneal.rail_saturated_nodes", railed as f64);
     }
@@ -755,13 +538,14 @@ impl RealValuedDspu {
     /// nodes held. Useful as ground truth in tests.
     pub fn analytic_fixed_point(&self, iterations: usize) -> Vec<f64> {
         let n = self.n();
-        let mut s = self.state.clone();
+        let mut s = self.nodes.state.clone();
         let mut js = vec![0.0; n];
         for _ in 0..iterations {
             self.coupling.matvec(&s, &mut js);
             for i in 0..n {
-                if self.free[i] {
-                    let target = (-js[i] / self.h[i]).clamp(-self.rail, self.rail);
+                if self.nodes.free[i] {
+                    let target =
+                        (-js[i] / self.nodes.h[i]).clamp(-self.nodes.rail, self.nodes.rail);
                     s[i] = 0.5 * s[i] + 0.5 * target;
                 }
             }

@@ -114,18 +114,18 @@ pub(crate) fn run_adaptive(
     let dt = config.dt_ns;
     assert!(dt > 0.0, "dt must be positive");
     let tol = config.tolerance;
-    let cap = dspu.capacitance;
-    let rail = dspu.rail;
+    let cap = dspu.nodes.capacitance;
+    let rail = dspu.nodes.rail;
     let n = dspu.n();
 
     if let Some(tr) = trace.as_deref_mut() {
-        tr.record(0.0, &dspu.state);
+        tr.record(0.0, &dspu.nodes.state);
     }
 
     // The engine's five scratch vectors all come from the machine's
     // pooled workspace (detached for the run, restored at the end), so
     // repeat runs on a warm machine allocate nothing.
-    let mut ws = std::mem::take(&mut dspu.workspace);
+    let mut ws = std::mem::take(&mut dspu.nodes.workspace);
     let js_reused = crate::workspace::Workspace::ensure_f64(&mut ws.js, n);
     ws.note(js_reused);
     ws.note(ws.marked.capacity() >= n);
@@ -135,9 +135,9 @@ pub(crate) fn run_adaptive(
     // loop can poll it without touching the borrowed machine.
     let cancel = dspu.cancel.clone();
     let coupling = &dspu.coupling;
-    let h = &dspu.h;
-    let free = &dspu.free;
-    let state = &mut dspu.state;
+    let h = &dspu.nodes.h;
+    let free = &dspu.nodes.free;
+    let state = &mut dspu.nodes.state;
     let crate::workspace::Workspace {
         js,
         queue,
@@ -279,7 +279,7 @@ pub(crate) fn run_adaptive(
         .map(|i| eff_rate(js, state, h, i, cap, dt, rail))
         .fold(0.0, f64::max);
 
-    dspu.workspace = ws;
+    dspu.nodes.workspace = ws;
     if dspu.telemetry.is_enabled() {
         dspu.telemetry
             .counter_add("anneal.drain_validations", drain_validations);

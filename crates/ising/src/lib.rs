@@ -14,6 +14,9 @@
 //!   circulative resistor ring (negative `h`, quadratic energy) lets node
 //!   voltages stabilise at real values — natural annealing solves
 //!   `σᵢ = -Σⱼ Jᵢⱼσⱼ / hᵢ` for the free nodes;
+//! - [`Nodes`]: the one integrator of those node dynamics, shared by the
+//!   DSPU and the PE-mesh machine, which differ only in how they
+//!   assemble coupling currents — see [`integrate`];
 //! - [`NoiseModel`]: per-step Gaussian disturbance of nodes and couplers
 //!   for the robustness study (paper Fig. 13);
 //! - [`Trace`]: voltage-vs-time recording (paper Fig. 4);
@@ -61,6 +64,7 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod hamiltonian;
+pub mod integrate;
 pub mod multigrid;
 pub mod noise;
 #[doc(hidden)]
@@ -84,6 +88,7 @@ pub use coupling::Coupling;
 pub use dspu::RealValuedDspu;
 pub use engine::{AdaptiveConfig, EngineMode};
 pub use error::IsingError;
+pub use integrate::Nodes;
 pub use fault::{FaultModel, StuckNode};
 pub use multigrid::{
     build_hierarchy, multigrid_warm_start, warm_start_with, MultigridHierarchy, MultigridOptions,

@@ -181,7 +181,7 @@ type FreeSubgraph = (Vec<usize>, Vec<(u32, u32, f64)>, Vec<f64>);
 /// J_ij σ_j`.
 fn free_subgraph(parent: &RealValuedDspu) -> FreeSubgraph {
     let n = parent.n();
-    let parent_free: Vec<usize> = (0..n).filter(|&i| parent.free[i]).collect();
+    let parent_free: Vec<usize> = (0..n).filter(|&i| parent.nodes.free[i]).collect();
     let nf = parent_free.len();
     let mut free_idx = vec![usize::MAX; n];
     for (fi, &i) in parent_free.iter().enumerate() {
@@ -191,12 +191,12 @@ fn free_subgraph(parent: &RealValuedDspu) -> FreeSubgraph {
     let mut drive = vec![0.0f64; nf];
     for (fi, &i) in parent_free.iter().enumerate() {
         for (j, w) in parent.coupling.row(i) {
-            if parent.free[j] {
+            if parent.nodes.free[j] {
                 if j > i {
                     ff_entries.push((fi as u32, free_idx[j] as u32, w));
                 }
             } else {
-                drive[fi] += w * parent.state[j];
+                drive[fi] += w * parent.nodes.state[j];
             }
         }
     }
@@ -269,7 +269,7 @@ fn assemble_level(parent: &RealValuedDspu, part: &LevelPartition) -> Option<Leve
     // survive aggregation or the coarse system has no Lyapunov bound.
     let mut h_c = vec![0.0f64; nc + 1];
     for (fi, &i) in parent_free.iter().enumerate() {
-        h_c[assign[fi]] += parent.h[i];
+        h_c[assign[fi]] += parent.nodes.h[i];
     }
     for (hc, &ia) in h_c.iter_mut().zip(&intra) {
         *hc += 2.0 * ia;
@@ -278,7 +278,7 @@ fn assemble_level(parent: &RealValuedDspu, part: &LevelPartition) -> Option<Leve
         }
     }
     h_c[nc] = -1.0; // bias node: clamped, value irrelevant but must be < 0
-    let rail = parent.rail;
+    let rail = parent.nodes.rail;
     let mut block_drive = vec![0.0f64; nc];
     for (fi, &d) in drive.iter().enumerate() {
         block_drive[assign[fi]] += d;
@@ -303,16 +303,19 @@ fn assemble_level(parent: &RealValuedDspu, part: &LevelPartition) -> Option<Leve
     // σ = -J̃σ/h̃ is untouched.
     let h_fine_max = parent_free
         .iter()
-        .map(|&i| parent.h[i].abs())
+        .map(|&i| parent.nodes.h[i].abs())
         .fold(0.0f64, f64::max);
-    let h_coarse_max = machine.h[..nc].iter().map(|v| v.abs()).fold(0.0f64, f64::max);
+    let h_coarse_max = machine.nodes.h[..nc]
+        .iter()
+        .map(|v| v.abs())
+        .fold(0.0f64, f64::max);
     let cap_scale = if h_fine_max > 0.0 {
         (h_coarse_max / h_fine_max).max(1.0)
     } else {
         1.0
     };
     machine
-        .set_capacitance(parent.capacitance * cap_scale)
+        .set_capacitance(parent.nodes.capacitance * cap_scale)
         .ok()?;
     machine.clamp(nc, rail).ok()?;
     // Coarse init restricts the parent's (already randomized) free
@@ -320,7 +323,7 @@ fn assemble_level(parent: &RealValuedDspu, part: &LevelPartition) -> Option<Leve
     let mut sums = vec![0.0f64; nc];
     let mut counts = vec![0usize; nc];
     for (fi, &i) in parent_free.iter().enumerate() {
-        sums[assign[fi]] += parent.state[i];
+        sums[assign[fi]] += parent.nodes.state[i];
         counts[assign[fi]] += 1;
     }
     let mut init = vec![0.0f64; nc + 1];
@@ -346,8 +349,8 @@ fn assemble_level(parent: &RealValuedDspu, part: &LevelPartition) -> Option<Leve
 /// nodes (piecewise-constant prolongation), clamped to the parent's
 /// rails. Returns `false` if the prolonged state was rejected.
 fn prolong_into(level: &Level, coarse_state: &[f64], parent: &mut RealValuedDspu) -> bool {
-    let rail = parent.rail;
-    let mut state = parent.state.clone();
+    let rail = parent.nodes.rail;
+    let mut state = parent.nodes.state.clone();
     for (fi, &i) in level.parent_free.iter().enumerate() {
         state[i] = coarse_state[level.assignment[fi]].clamp(-rail, rail);
     }
@@ -469,11 +472,12 @@ pub fn warm_start_with(
     let mut coarse_steps = 0usize;
     let mut prolongations = 0usize;
     let mut pool = Workspace::new();
-    let fine_capacitance = dspu.capacitance;
+    let fine_capacitance = dspu.nodes.capacitance;
     for l in (0..chain.len()).rev() {
         {
             let m = &mut chain[l].machine;
-            coarse_cfg.max_time_ns = base_budget * (m.capacitance / fine_capacitance).max(1.0);
+            coarse_cfg.max_time_ns =
+                base_budget * (m.nodes.capacitance / fine_capacitance).max(1.0);
             m.adopt_workspace(pool);
             let report = m.run(&coarse_cfg, &mut rng);
             coarse_steps += report.steps;
@@ -482,7 +486,7 @@ pub fn warm_start_with(
                 return None;
             }
         }
-        let coarse_state = chain[l].machine.state.clone();
+        let coarse_state = chain[l].machine.nodes.state.clone();
         let ok = if l == 0 {
             prolong_into(&chain[l], &coarse_state, dspu)
         } else {

@@ -12,7 +12,7 @@
 //!
 //! ## Lifetime rules
 //!
-//! - The workspace belongs to one [`crate::RealValuedDspu`] and holds
+//! - The workspace belongs to one machine's [`crate::Nodes`] and holds
 //!   **no observable state**: buffers are dead storage between calls,
 //!   and every consumer fully overwrites (or re-initialises) what it
 //!   reads. Swapping, clearing, or replacing a workspace can therefore
@@ -27,7 +27,7 @@
 //!   per-window machines stop paying the warm-up allocations — the
 //!   buffers carry capacity, not values, across windows.
 
-/// Pooled scratch buffers owned by a [`crate::RealValuedDspu`].
+/// Pooled scratch buffers owned by a machine's [`crate::Nodes`].
 ///
 /// All fields are dead storage between uses; see the module docs for
 /// the lifetime rules. `Default` yields an empty pool that sizes itself
